@@ -27,7 +27,7 @@ from _harness import (
     emit,
 )
 from repro import FBDetect, TimeSeriesDatabase
-from repro.core.pipeline import STAGES
+from repro.obs.spans import STAGES
 from repro.reporting import format_funnel_table
 
 N_POINTS = 1500

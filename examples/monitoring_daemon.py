@@ -3,7 +3,7 @@
 
 Mirrors production operation (§5.1): one :class:`DetectionScheduler`
 owns monitors for several services with different configurations and
-re-run intervals, scans them in parallel as simulated time advances,
+re-run intervals, scans each when it is due as simulated time advances,
 applies TSDB retention, suppresses a regression explained by a
 registered *planned* capacity change (the paper's §8 extension), and
 files incident reports through a sink.
@@ -66,7 +66,7 @@ def main() -> None:
     changes_a, hot = simulate_services(db)
 
     sink = CollectingSink()
-    scheduler = DetectionScheduler(db, sinks=[sink], max_workers=4, retention=90_000.0)
+    scheduler = DetectionScheduler(db, sinks=[sink], retention=90_000.0)
 
     windows = WindowSpec(36_000.0, 12_000.0, 6_000.0)
     scheduler.register(

@@ -43,7 +43,7 @@ Subpackages:
 
 from repro.config import TABLE1_CONFIGS, DetectionConfig, table1_config
 from repro.core.detector import FBDetect
-from repro.core.pipeline import DetectionPipeline, FunnelCounters, PipelineResult
+from repro.core.pipeline import DetectionPipeline, PipelineResult
 from repro.core.planned_changes import PlannedChange, PlannedChangeCorrelator
 from repro.core.types import (
     DetectionVerdict,
@@ -53,7 +53,7 @@ from repro.core.types import (
     RegressionGroup,
     RegressionKind,
 )
-from repro.obs import FunnelTrace, RunTrace, Span, TraceStore
+from repro.obs import FunnelCounters, RunTrace, Span, TraceStore
 from repro.service import (
     BackpressurePolicy,
     CheckpointManager,
@@ -77,7 +77,6 @@ __all__ = [
     "FBDetect",
     "FilterReason",
     "FunnelCounters",
-    "FunnelTrace",
     "MetricContext",
     "MetricsRegistry",
     "PipelineResult",

@@ -677,8 +677,9 @@ def _cmd_serve_demo(args: argparse.Namespace) -> int:
                           f"{len(response.read())} bytes")
             except OSError as error:  # pragma: no cover - diagnostics only
                 print(f"self-scrape {endpoint}: failed ({error})")
+        live = service.funnel_trace()
         print()
-        print(service.funnel_trace().render())
+        print(format_funnel_table({f"last {live.runs} run(s)": live}))
         obs_server.stop()
     service.close()
     _print_webhook_summary(webhook_sink)

@@ -27,7 +27,7 @@ from repro.core.detector import FBDetect
 from repro.core.importance import importance_score
 from repro.core.incremental import IncrementalScanCache
 from repro.core.long_term import LongTermDetector
-from repro.core.pipeline import DetectionPipeline, FunnelCounters, PipelineResult
+from repro.core.pipeline import DetectionPipeline, PipelineResult
 from repro.core.root_cause import RootCauseAnalyzer, RootCauseCandidate
 from repro.core.same_regression import SameRegressionMerger
 from repro.core.seasonality import SeasonalityDetector
@@ -49,7 +49,6 @@ __all__ = [
     "DetectionVerdict",
     "FBDetect",
     "FilterReason",
-    "FunnelCounters",
     "IncrementalScanCache",
     "LongTermDetector",
     "MergeRule",

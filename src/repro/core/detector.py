@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.config import DetectionConfig
-from repro.core.pipeline import DetectionPipeline, FunnelCounters, PipelineResult
+from repro.core.pipeline import DetectionPipeline, PipelineResult
 from repro.core.types import MetricContext, Regression
 from repro.fleet.changes import ChangeLog
 from repro.profiling.stacktrace import StackTrace

@@ -8,19 +8,21 @@ threshold -> SameRegressionMerger) and, when enabled, the long-term path
 deduplicated by SOMDedup, filtered by cost-shift analysis, deduplicated
 again by PairwiseDedup, and finally root-caused.
 
-Per-stage survivor counts are kept in :class:`FunnelCounters`, which
-reproduces Table 3's "remaining anomalies after each technique" rows.
-When a tracer (:class:`~repro.obs.spans.TraceStore`) is attached, every
-run additionally records one :class:`~repro.obs.spans.Span` per stage —
-input/output candidate counts, drop reasons, and elapsed time — so the
-funnel's attrition is auditable live, not just in aggregate.
+Every run fills one :class:`~repro.obs.spans.FunnelCounters`: per
+stage, the candidates that entered, survived (Table 3's "remaining
+anomalies after each technique" rows) and were dropped, by reason, plus
+the stage's elapsed time.  When a tracer
+(:class:`~repro.obs.spans.TraceStore`) is attached, the run's tally is
+also recorded there, frozen into one :class:`~repro.obs.spans.Span` per
+stage, so the funnel's attrition is auditable live, not just in
+aggregate.
 """
 
 from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -47,56 +49,29 @@ from repro.core.types import (
 from repro.core.went_away import WentAwayDetector
 from repro.fleet.changes import ChangeLog
 from repro.obs.logging import get_logger
-from repro.obs.spans import STAGES, RunTrace, StageTally
+from repro.obs.spans import FunnelCounters, StageTally
 from repro.profiling.stacktrace import StackTrace
 from repro.quality.gaps import QualityGate
 from repro.tsdb.database import TimeSeriesDatabase
 from repro.tsdb.series import TimeSeries
 
-__all__ = ["STAGES", "FunnelCounters", "PipelineResult", "DetectionPipeline"]
-
-# STAGES (the canonical Table 3 stage order) now lives in
-# repro.obs.spans so observability consumers need no detection imports;
-# it is re-exported here for compatibility.
+__all__ = ["PipelineResult", "DetectionPipeline"]
 
 _log = get_logger("repro.core.pipeline")
 
+#: The verdict a stage contributes when it is switched off or passes
+#: without recording one on the regression.
+_KEEP = DetectionVerdict.keep()
 
-@dataclass
-class FunnelCounters:
-    """Survivor counts after each pipeline stage (Table 3).
 
-    ``counts[stage]`` is the number of candidates still alive *after*
-    the stage ran.  ``counts["change_points"]`` is the number detected.
-    """
-
-    counts: Dict[str, int] = field(default_factory=lambda: {s: 0 for s in STAGES})
-
-    def survived(self, stage: str, n: int = 1) -> None:
-        """Record ``n`` survivors of ``stage``.
-
-        Raises:
-            KeyError: On an unknown stage name.
-        """
-        if stage not in self.counts:
-            raise KeyError(f"unknown stage {stage!r}")
-        self.counts[stage] += n
-
-    def reduction_ratios(self) -> Dict[str, float]:
-        """Table 3's "1/N" view: detected count over survivors per stage.
-
-        Stages with zero survivors report ``inf``.
-        """
-        detected = self.counts["change_points"]
-        ratios = {}
-        for stage in STAGES:
-            alive = self.counts[stage]
-            ratios[stage] = detected / alive if alive else float("inf")
-        return ratios
-
-    def merge(self, other: "FunnelCounters") -> None:
-        for stage, count in other.counts.items():
-            self.counts[stage] = self.counts.get(stage, 0) + count
+def _tally(tally: StageTally, verdict: DetectionVerdict, started: float) -> bool:
+    """Tally one candidate's verdict at a stage; whether it survived."""
+    tally.observe(
+        verdict.passed,
+        verdict.reason.value if verdict.reason else None,
+        time.perf_counter() - started,
+    )
+    return verdict.passed
 
 
 @dataclass
@@ -109,7 +84,8 @@ class PipelineResult:
         all_candidates: Every change-point candidate turned regression
             (including later-filtered ones, each carrying its verdicts).
         groups: PairwiseDedup groups touched this run.
-        funnel: Per-stage survivor counts.
+        funnel: This run's per-stage tally (inputs, survivors, drop
+            reasons, seconds).
         now: The run's reference time.
     """
 
@@ -157,11 +133,9 @@ class DetectionPipeline:
             layer.
         tracer: Optional trace recorder (must expose ``record(run)``,
             e.g. :class:`repro.obs.spans.TraceStore`).  When set, every
-            :meth:`run` emits one :class:`~repro.obs.spans.RunTrace`
-            holding one span per funnel stage, with input/output counts
-            that telescope on the short-term path and per-stage drop
-            reasons.  ``None`` (the default) keeps the scan hot path
-            free of tally work.
+            :meth:`run` records its funnel tally, frozen into one
+            :class:`~repro.obs.spans.RunTrace`.  The tally itself is
+            filled either way (it is :attr:`PipelineResult.funnel`).
         quality_gate: Optional :class:`~repro.quality.gaps.QualityGate`
             making detection gap-aware: scan windows whose coverage
             (points present vs the series' own cadence) falls below the
@@ -252,16 +226,9 @@ class DetectionPipeline:
         """One periodic detection scan at reference time ``now``."""
         run_started = time.perf_counter()
         wall_started = time.time()
-        funnel = FunnelCounters()
+        funnel = FunnelCounters(runs=1)
+        stages = funnel.stages
         candidates: List[Regression] = []
-        # One StageTally per funnel stage, frozen into spans at the end
-        # of the run.  ``None`` when tracing is off: the per-candidate
-        # sites below then skip all tally (and perf_counter) work.
-        trace: Optional[Dict[str, StageTally]] = (
-            {stage: StageTally() for stage in STAGES}
-            if self.tracer is not None
-            else None
-        )
 
         stage_started = time.perf_counter()
         # Pass 1: staleness eviction, before any screen state is touched
@@ -273,8 +240,7 @@ class DetectionPipeline:
                 if self._evict_if_stale(series, now):
                     # Evicted from scheduling until it resumes: a dead
                     # host must cost nothing per tick and never alert.
-                    if trace is not None:
-                        trace["change_points"].observe(False, "stale_series")
+                    stages["change_points"].observe(False, "stale_series")
                     continue
                 scannable.append(series)
         else:
@@ -291,14 +257,13 @@ class DetectionPipeline:
             candidate = self._short_term(
                 series,
                 now,
-                funnel,
-                trace,
+                stages,
                 must_scan=None if decisions is None else decisions[series.name],
             )
             if candidate is not None:
                 candidates.append(candidate)
             if self.config.long_term:
-                long_candidate = self._long_term(series, now, funnel, trace)
+                long_candidate = self._long_term(series, now, stages)
                 if long_candidate is not None:
                     candidates.append(long_candidate)
         self._observe_stage("detect", stage_started)
@@ -312,14 +277,11 @@ class DetectionPipeline:
             representatives = [g.representative for g in groups if g.representative]
         else:
             representatives = list(survivors)
-        funnel.survived("som_dedup", len(representatives))
-        self._observe_stage("som_dedup", stage_started)
-        if trace is not None:
-            trace["som_dedup"].bulk(
-                len(survivors), len(representatives),
-                FilterReason.SOM_DUPLICATE.value,
-                time.perf_counter() - stage_started,
-            )
+        stages["som_dedup"].bulk(
+            len(survivors), len(representatives),
+            FilterReason.SOM_DUPLICATE.value,
+            self._observe_stage("som_dedup", stage_started),
+        )
 
         # Cost-shift analysis on the surviving representatives.
         stage_started = time.perf_counter()
@@ -335,14 +297,11 @@ class DetectionPipeline:
                     after_cost_shift.append(regression)
         else:
             after_cost_shift = representatives
-        funnel.survived("cost_shift", len(after_cost_shift))
-        self._observe_stage("cost_shift", stage_started)
-        if trace is not None:
-            trace["cost_shift"].bulk(
-                len(representatives), len(after_cost_shift),
-                FilterReason.COST_SHIFT.value,
-                time.perf_counter() - stage_started,
-            )
+        stages["cost_shift"].bulk(
+            len(representatives), len(after_cost_shift),
+            FilterReason.COST_SHIFT.value,
+            self._observe_stage("cost_shift", stage_started),
+        )
 
         # PairwiseDedup against groups from prior runs.
         stage_started = time.perf_counter()
@@ -356,14 +315,11 @@ class DetectionPipeline:
         else:
             touched_groups = []
             reported = after_cost_shift
-        funnel.survived("pairwise_dedup", len(reported))
-        self._observe_stage("pairwise_dedup", stage_started)
-        if trace is not None:
-            trace["pairwise_dedup"].bulk(
-                len(after_cost_shift), len(reported),
-                FilterReason.PAIRWISE_DUPLICATE.value,
-                time.perf_counter() - stage_started,
-            )
+        stages["pairwise_dedup"].bulk(
+            len(after_cost_shift), len(reported),
+            FilterReason.PAIRWISE_DUPLICATE.value,
+            self._observe_stage("pairwise_dedup", stage_started),
+        )
 
         # Root-cause analysis for what gets reported.
         stage_started = time.perf_counter()
@@ -383,15 +339,9 @@ class DetectionPipeline:
             self.metrics.inc("pipeline.candidates", len(candidates))
             self.metrics.inc("pipeline.reported", len(reported))
 
-        if trace is not None:
+        if self.tracer is not None:
             self.tracer.record(
-                RunTrace(
-                    monitor=self.config.name,
-                    now=now,
-                    wall_started=wall_started,
-                    seconds=run_seconds,
-                    spans=tuple(trace[stage].freeze(stage) for stage in STAGES),
-                )
+                funnel.freeze(self.config.name, now, wall_started, run_seconds)
             )
         if reported and _log.isEnabledFor(logging.INFO):
             for regression in reported:
@@ -412,12 +362,15 @@ class DetectionPipeline:
             now=now,
         )
 
-    def _observe_stage(self, stage: str, started: float) -> None:
-        """Record one stage's latency into the optional metrics registry."""
+    def _observe_stage(self, stage: str, started: float) -> float:
+        """Record one stage's latency into the optional metrics registry.
+
+        Returns the elapsed seconds.
+        """
+        elapsed = time.perf_counter() - started
         if self.metrics is not None:
-            self.metrics.observe(
-                f"pipeline.stage.{stage}_seconds", time.perf_counter() - started
-            )
+            self.metrics.observe(f"pipeline.stage.{stage}_seconds", elapsed)
+        return elapsed
 
     def invalidate_incremental(self) -> None:
         """Drop all derived incremental-scan state (restore boundary).
@@ -458,21 +411,19 @@ class DetectionPipeline:
         self._stale.discard(series.name)
         return False
 
-    def _window_ok(
-        self,
-        series: TimeSeries,
-        windowed,
-        trace: Optional[Dict[str, StageTally]],
-        started: float,
-    ) -> bool:
-        """Quality guards a scan window must clear.
+    def _window_drop(self, series: TimeSeries, windowed) -> Optional[str]:
+        """Why a scan window must not be scanned; ``None`` when it may.
 
-        Non-finite values anywhere in the window always suppress the
-        scan (NaN poisons every downstream statistic); with a quality
-        gate attached, windows whose coverage falls below the gate's
-        floor are suppressed too.  Suppressions are counted and traced,
-        never alerted.
+        Too few points never scan.  Non-finite values anywhere in the
+        window always suppress the scan (NaN poisons every downstream
+        statistic); with a quality gate attached, windows whose
+        coverage falls below the gate's floor are suppressed too.
+        Suppressions are counted and tallied, never alerted.
         """
+        if not windowed.has_minimum_data(
+            self.min_historic_points, self.min_analysis_points
+        ):
+            return "insufficient_data"
         finite = (
             bool(np.isfinite(windowed.analysis).all())
             and bool(np.isfinite(windowed.historic).all())
@@ -481,11 +432,7 @@ class DetectionPipeline:
         if not finite:
             if self.metrics is not None:
                 self.metrics.inc("pipeline.quality.non_finite_skips")
-            if trace is not None:
-                trace["change_points"].observe(
-                    False, "non_finite_window", time.perf_counter() - started
-                )
-            return False
+            return "non_finite_window"
         if self.quality_gate is not None:
             ok, _ = self.quality_gate.window_ok(
                 series.timestamps_between(
@@ -498,12 +445,8 @@ class DetectionPipeline:
             if not ok:
                 if self.metrics is not None:
                     self.metrics.inc("pipeline.quality.low_coverage_skips")
-                if trace is not None:
-                    trace["change_points"].observe(
-                        False, "low_quality_window", time.perf_counter() - started
-                    )
-                return False
-        return True
+                return "low_quality_window"
+        return None
 
     def _oriented(self, values: np.ndarray) -> np.ndarray:
         """Map values so that an increase always means a regression."""
@@ -513,8 +456,7 @@ class DetectionPipeline:
         self,
         series: TimeSeries,
         now: float,
-        funnel: FunnelCounters,
-        trace: Optional[Dict[str, StageTally]] = None,
+        stages: Dict[str, StageTally],
         must_scan: Optional[bool] = None,
     ) -> Optional[Regression]:
         cache = self.incremental_cache
@@ -530,29 +472,24 @@ class DetectionPipeline:
                 if self.metrics is not None:
                     self.metrics.inc("pipeline.incremental.hits")
                 # Tallied untimed: the hit path is O(new points) and the
-                # tracer must not dominate it with clock reads.
-                if trace is not None:
-                    trace["change_points"].observe(False, "cache_hit")
+                # tally must not dominate it with clock reads.
+                stages["change_points"].observe(False, "cache_hit")
                 return None
             # Count the miss at the decision point so the registry agrees
             # with IncrementalScanCache.hit_rate even when the scan below
             # bails on insufficient data.
             if self.metrics is not None:
                 self.metrics.inc("pipeline.incremental.misses")
-        started = time.perf_counter() if trace is not None else 0.0
+        started = time.perf_counter()
 
         windowed = self.config.windows.view(series, now)
-        if not windowed.has_minimum_data(
-            self.min_historic_points, self.min_analysis_points
-        ):
-            if trace is not None:
-                trace["change_points"].observe(
-                    False, "insufficient_data", time.perf_counter() - started
-                )
-            return None
-        if not self._window_ok(series, windowed, trace, started):
+        drop = self._window_drop(series, windowed)
+        if drop is not None:
             # No full-scan anchor is recorded: bad windows must not
             # seed the incremental screen.
+            stages["change_points"].observe(
+                False, drop, time.perf_counter() - started
+            )
             return None
 
         oriented_analysis = self._oriented(windowed.analysis)
@@ -577,17 +514,11 @@ class DetectionPipeline:
                 primary_fired=candidate is not None,
                 metrics=self.metrics,
             )
+        stages["change_points"].observe(
+            candidate is not None, "no_change_point", time.perf_counter() - started
+        )
         if candidate is None:
-            if trace is not None:
-                trace["change_points"].observe(
-                    False, "no_change_point", time.perf_counter() - started
-                )
             return None
-        funnel.survived("change_points")
-        if trace is not None:
-            trace["change_points"].observe(
-                True, seconds=time.perf_counter() - started
-            )
 
         context = MetricContext.from_tags(series.name, series.tags)
         interval = (now - windowed.analysis_start) / max(
@@ -604,183 +535,84 @@ class DetectionPipeline:
             detected_at=now,
         )
 
-        started = time.perf_counter() if trace is not None else 0.0
-        if self.enable_went_away:
-            verdict = self.went_away_detector.check(regression.window, candidate)
-            regression.record(verdict)
-            if not verdict.passed:
-                if trace is not None:
-                    trace["went_away"].observe(
-                        False,
-                        verdict.reason.value if verdict.reason else None,
-                        time.perf_counter() - started,
-                    )
-                return regression
-        funnel.survived("went_away")
-        if trace is not None:
-            trace["went_away"].observe(True, seconds=time.perf_counter() - started)
-
-        started = time.perf_counter() if trace is not None else 0.0
-        if self.enable_seasonality:
-            verdict = self.seasonality_detector.check(regression.window, candidate)
-            regression.record(verdict)
-            if not verdict.passed:
-                if trace is not None:
-                    trace["seasonality"].observe(
-                        False,
-                        verdict.reason.value if verdict.reason else None,
-                        time.perf_counter() - started,
-                    )
-                return regression
-        funnel.survived("seasonality")
-        if trace is not None:
-            trace["seasonality"].observe(True, seconds=time.perf_counter() - started)
-
-        started = time.perf_counter() if trace is not None else 0.0
-        if not self.config.exceeds_threshold(
-            candidate.magnitude, candidate.mean_before
+        for stage, detector, enabled in (
+            ("went_away", self.went_away_detector, self.enable_went_away),
+            ("seasonality", self.seasonality_detector, self.enable_seasonality),
         ):
-            regression.record(
-                DetectionVerdict.drop(
-                    FilterReason.BELOW_THRESHOLD,
-                    detail=(
-                        f"magnitude {candidate.magnitude:.3g} below "
-                        f"threshold {self.config.threshold:.3g}"
-                    ),
-                )
-            )
-            if trace is not None:
-                trace["threshold"].observe(
-                    False,
-                    FilterReason.BELOW_THRESHOLD.value,
-                    time.perf_counter() - started,
-                )
-            return regression
-        funnel.survived("threshold")
-        if trace is not None:
-            trace["threshold"].observe(True, seconds=time.perf_counter() - started)
+            started = time.perf_counter()
+            if enabled:
+                verdict = detector.check(regression.window, candidate)
+                regression.record(verdict)
+            else:
+                verdict = _KEEP
+            if not _tally(stages[stage], verdict, started):
+                return regression
+        return self._threshold_and_merge(regression, stages, "magnitude")
 
-        started = time.perf_counter() if trace is not None else 0.0
+    def _long_term(
+        self,
+        series: TimeSeries,
+        now: float,
+        stages: Dict[str, StageTally],
+    ) -> Optional[Regression]:
+        started = time.perf_counter()
+        windowed = self.config.windows.view(series, now)
+        drop = self._window_drop(series, windowed)
+        if drop is not None:
+            stages["change_points"].observe(
+                False, drop, time.perf_counter() - started
+            )
+            return None
+        context = MetricContext.from_tags(series.name, series.tags)
+        regression = self.long_term_detector.detect(
+            self._oriented_view(windowed), context, detected_at=now
+        )
+        stages["change_points"].observe(
+            regression is not None, "no_change_point", time.perf_counter() - started
+        )
+        if regression is None:
+            return None
+        # The long-term path has no went-away stage by design.  Absolute
+        # thresholds were enforced inside the detector; relative ones
+        # (which need the baseline) are checked here.
+        return self._threshold_and_merge(regression, stages, "long-term magnitude")
+
+    def _threshold_and_merge(
+        self,
+        regression: Regression,
+        stages: Dict[str, StageTally],
+        label: str,
+    ) -> Regression:
+        """The threshold and SameRegressionMerger stages both paths share."""
+        started = time.perf_counter()
+        if self.config.exceeds_threshold(regression.magnitude, regression.mean_before):
+            verdict = _KEEP
+        else:
+            verdict = DetectionVerdict.drop(
+                FilterReason.BELOW_THRESHOLD,
+                detail=(
+                    f"{label} {regression.magnitude:.3g} below "
+                    f"threshold {self.config.threshold:.3g}"
+                ),
+            )
+            regression.record(verdict)
+        if not _tally(stages["threshold"], verdict, started):
+            return regression
+
+        started = time.perf_counter()
         if self.planned_changes is not None:
             verdict = self.planned_changes.check(regression)
             regression.record(verdict)
             if not verdict.passed:
                 # Planned-change suppression is not a Table 3 funnel
                 # stage; tally the drop under same_regression so the
-                # span still accounts for every candidate that left the
+                # stage still accounts for every candidate that left the
                 # threshold stage alive.
-                if trace is not None:
-                    trace["same_regression"].observe(
-                        False,
-                        verdict.reason.value if verdict.reason else None,
-                        time.perf_counter() - started,
-                    )
-                return regression
-
-        verdict = self.same_regression_merger.check(regression)
-        regression.record(verdict)
-        if not verdict.passed:
-            if trace is not None:
-                trace["same_regression"].observe(
-                    False,
-                    verdict.reason.value if verdict.reason else None,
-                    time.perf_counter() - started,
-                )
-            return regression
-        funnel.survived("same_regression")
-        if trace is not None:
-            trace["same_regression"].observe(
-                True, seconds=time.perf_counter() - started
-            )
-        return regression
-
-    def _long_term(
-        self,
-        series: TimeSeries,
-        now: float,
-        funnel: FunnelCounters,
-        trace: Optional[Dict[str, StageTally]] = None,
-    ) -> Optional[Regression]:
-        started = time.perf_counter() if trace is not None else 0.0
-        windowed = self.config.windows.view(series, now)
-        if not windowed.has_minimum_data(
-            self.min_historic_points, self.min_analysis_points
-        ):
-            if trace is not None:
-                trace["change_points"].observe(
-                    False, "insufficient_data", time.perf_counter() - started
-                )
-            return None
-        if not self._window_ok(series, windowed, trace, started):
-            return None
-        context = MetricContext.from_tags(series.name, series.tags)
-        regression = self.long_term_detector.detect(
-            self._oriented_view(windowed), context, detected_at=now
-        )
-        if regression is None:
-            if trace is not None:
-                trace["change_points"].observe(
-                    False, "no_change_point", time.perf_counter() - started
-                )
-            return None
-        funnel.survived("change_points")
-        if trace is not None:
-            trace["change_points"].observe(
-                True, seconds=time.perf_counter() - started
-            )
-        # The long-term path has no went-away stage by design.  Absolute
-        # thresholds were enforced inside the detector; relative ones
-        # (which need the baseline) are checked here.
-        started = time.perf_counter() if trace is not None else 0.0
-        if not self.config.exceeds_threshold(
-            regression.magnitude, regression.mean_before
-        ):
-            regression.record(
-                DetectionVerdict.drop(
-                    FilterReason.BELOW_THRESHOLD,
-                    detail=(
-                        f"long-term magnitude {regression.magnitude:.3g} below "
-                        f"threshold {self.config.threshold:.3g}"
-                    ),
-                )
-            )
-            if trace is not None:
-                trace["threshold"].observe(
-                    False,
-                    FilterReason.BELOW_THRESHOLD.value,
-                    time.perf_counter() - started,
-                )
-            return regression
-        funnel.survived("threshold")
-        if trace is not None:
-            trace["threshold"].observe(True, seconds=time.perf_counter() - started)
-        started = time.perf_counter() if trace is not None else 0.0
-        if self.planned_changes is not None:
-            verdict = self.planned_changes.check(regression)
-            regression.record(verdict)
-            if not verdict.passed:
-                if trace is not None:
-                    trace["same_regression"].observe(
-                        False,
-                        verdict.reason.value if verdict.reason else None,
-                        time.perf_counter() - started,
-                    )
+                _tally(stages["same_regression"], verdict, started)
                 return regression
         verdict = self.same_regression_merger.check(regression)
         regression.record(verdict)
-        if not verdict.passed:
-            if trace is not None:
-                trace["same_regression"].observe(
-                    False,
-                    verdict.reason.value if verdict.reason else None,
-                    time.perf_counter() - started,
-                )
-            return regression
-        funnel.survived("same_regression")
-        if trace is not None:
-            trace["same_regression"].observe(
-                True, seconds=time.perf_counter() - started
-            )
+        _tally(stages["same_regression"], verdict, started)
         return regression
 
     def _oriented_view(self, windowed):

@@ -8,11 +8,12 @@ reproduction operable the same way:
 - :mod:`repro.obs.logging` — structured JSON logging with
   per-series/per-alert correlation IDs bound through context managers,
   so every log line of one incident can be grepped by one id.
-- :mod:`repro.obs.spans` — span-based tracing of every funnel stage:
-  each pipeline run records one :class:`Span` per stage (input/output
-  counts, drop reasons, elapsed seconds) into a ring-buffer
-  :class:`TraceStore`; :class:`FunnelTrace` aggregates the retained
-  runs into a live Table 3-style stage-attrition view.
+- :mod:`repro.obs.spans` — the Table 3 funnel and its per-run spans:
+  each pipeline run fills one :class:`FunnelCounters` (input/output
+  counts, drop reasons, elapsed seconds per stage) and, when traced,
+  records it frozen as one :class:`Span` per stage into a ring-buffer
+  :class:`TraceStore`; :meth:`FunnelCounters.from_runs` totals the
+  retained runs into a live Table 3-style stage-attrition view.
 - :mod:`repro.obs.http` — a stdlib :mod:`http.server` pull surface for
   the streaming service: ``/metrics`` (Prometheus text exposition of
   the self-metrics registry), ``/healthz`` (shard liveness, queue
@@ -33,10 +34,17 @@ from repro.obs.logging import (
     get_logger,
     log_context,
 )
-from repro.obs.spans import STAGES, FunnelTrace, RunTrace, Span, StageTally, TraceStore
+from repro.obs.spans import (
+    STAGES,
+    FunnelCounters,
+    RunTrace,
+    Span,
+    StageTally,
+    TraceStore,
+)
 
 __all__ = [
-    "FunnelTrace",
+    "FunnelCounters",
     "JsonLogFormatter",
     "ObservabilityServer",
     "RunTrace",

@@ -12,10 +12,9 @@ duck-typed like one) on three endpoints:
   the backpressure threshold, flusher liveness, checkpoint age.  Answers
   ``200`` when healthy and ``503`` when degraded, so load balancers and
   Kubernetes probes can consume it directly.
-- ``GET /status`` — the operator's funnel snapshot: cumulative
-  :class:`~repro.core.pipeline.FunnelCounters`, the live
-  :class:`~repro.obs.spans.FunnelTrace` over retained run traces, and
-  recent per-run spans.
+- ``GET /status`` — the operator's funnel snapshot: the cumulative
+  :class:`~repro.obs.spans.FunnelCounters` and the same type totalled
+  over the retained run traces (the live, windowed view).
 - ``GET /faults`` — the fault-injection view: the active
   :class:`~repro.faults.FaultPlan` with per-spec seen/fired counters,
   plus recent fault/degradation events.  During chaos drills this is

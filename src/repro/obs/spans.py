@@ -1,11 +1,15 @@
-"""Funnel-stage spans, the trace ring buffer, and the live funnel view.
+"""The Table 3 funnel tally, its per-run spans, and the trace ring buffer.
 
-One pipeline run (one ``advance`` of a monitor) records exactly one
-:class:`Span` per Figure 6 funnel stage.  A span carries what Table 3
-needs to stay auditable in production: how many candidates *entered*
-the stage, how many *survived*, why the rest were dropped, and how long
-the stage spent — so the stage-attrition view the paper prints once can
-be reproduced live from the last N runs.
+Every pipeline run (one ``advance`` of a monitor) fills one
+:class:`FunnelCounters`: a :class:`StageTally` per Figure 6 funnel
+stage.  That one type is the funnel everywhere — a run's result, the
+service's cumulative funnel, and the windowed ``/status`` view
+(:meth:`FunnelCounters.from_runs`).  Frozen, a run's tally becomes a
+:class:`RunTrace` holding one :class:`Span` per stage.  A tally carries
+what Table 3 needs to stay auditable in production: how many candidates
+*entered* the stage, how many *survived*, why the rest were dropped,
+and how long the stage spent — so the stage-attrition view the paper
+prints once can be reproduced live from the last N runs.
 
 Counts telescope by construction on the short-term path: stage N's
 ``outputs`` equals stage N+1's ``inputs``.  Planned-change suppression
@@ -32,16 +36,16 @@ __all__ = [
     "STAGES",
     "Span",
     "StageTally",
+    "FunnelCounters",
     "RunTrace",
     "TraceStore",
-    "FunnelTrace",
     "Event",
     "EventLog",
 ]
 
-#: Canonical Figure 6 funnel stage order, matching Table 3's rows.  The
-#: core pipeline re-exports this tuple; it lives here so observability
-#: consumers never import detection code just to name stages.
+#: Canonical Figure 6 funnel stage order, matching Table 3's rows.  It
+#: lives here so observability consumers never import detection code
+#: just to name stages.
 STAGES: Tuple[str, ...] = (
     "change_points",
     "went_away",
@@ -56,18 +60,21 @@ STAGES: Tuple[str, ...] = (
 
 @dataclass
 class StageTally:
-    """Mutable per-run accumulator behind one stage's span.
+    """Mutable accumulator for one funnel stage.
 
     The pipeline calls :meth:`observe` once per candidate entering the
     stage; block-level stages (the dedup passes) call :meth:`bulk`
-    once with their collection sizes.
+    once with their collection sizes.  :meth:`merge` folds in another
+    tally (or a frozen :class:`Span`) for multi-run totals.
     """
 
     inputs: int = 0
     outputs: int = 0
     seconds: float = 0.0
     drops: Dict[str, int] = field(default_factory=dict)
-    first_entered: Optional[float] = None
+    # Wall clock of this run's first candidate (the span's ``started``);
+    # run-local, so totals and equality ignore it.
+    first_entered: Optional[float] = field(default=None, compare=False)
 
     def observe(
         self,
@@ -104,6 +111,14 @@ class StageTally:
         if dropped > 0:
             self.drops[reason] = self.drops.get(reason, 0) + dropped
         self.seconds += seconds
+
+    def merge(self, other: StageTally | Span) -> None:
+        """Add another run's counts, drops and seconds to this tally."""
+        self.inputs += other.inputs
+        self.outputs += other.outputs
+        self.seconds += other.seconds
+        for reason, count in other.drops.items():
+            self.drops[reason] = self.drops.get(reason, 0) + count
 
     def freeze(self, stage: str) -> "Span":
         return Span(
@@ -193,10 +208,7 @@ class RunTrace:
         True for short-term-only configurations; the long-term path
         intentionally breaks the identity (see the module docstring).
         """
-        return all(
-            later.inputs == earlier.outputs
-            for earlier, later in zip(self.spans, self.spans[1:])
-        )
+        return _telescopes(self.spans)
 
     def to_dict(self) -> dict:
         return {
@@ -207,6 +219,110 @@ class RunTrace:
             "telescopes": self.telescopes(),
             "spans": [span.to_dict() for span in self.spans],
         }
+
+
+def _telescopes(stages: Sequence[StageTally | Span]) -> bool:
+    return all(
+        later.inputs == earlier.outputs
+        for earlier, later in zip(stages, stages[1:])
+    )
+
+
+@dataclass
+class FunnelCounters:
+    """The Table 3 funnel: one :class:`StageTally` per stage, over ``runs``.
+
+    ``counts[stage]`` is the number of candidates still alive *after*
+    the stage ran (``counts["change_points"]`` is the number detected);
+    each tally also keeps the stage's inputs, drop reasons and seconds.
+    A pipeline run fills one (``runs == 1``); :meth:`merge` and
+    :meth:`from_runs` total several, so the service's cumulative funnel
+    and the windowed ``/status`` view are the same type.
+    """
+
+    stages: Dict[str, StageTally] = field(
+        default_factory=lambda: {stage: StageTally() for stage in STAGES}
+    )
+    runs: int = 0
+
+    @property
+    def counts(self) -> Dict[str, int]:
+        """Survivors per stage, in :data:`STAGES` order."""
+        return {stage: tally.outputs for stage, tally in self.stages.items()}
+
+    def merge(self, other: "FunnelCounters") -> None:
+        self.runs += other.runs
+        for stage, tally in other.stages.items():
+            self.stages[stage].merge(tally)
+
+    @classmethod
+    def from_runs(cls, runs: Iterable["RunTrace"]) -> "FunnelCounters":
+        """Totals over frozen run traces (the live, windowed view)."""
+        funnel = cls()
+        for run in runs:
+            funnel.runs += 1
+            for span in run.spans:
+                funnel.stages[span.stage].merge(span)
+        return funnel
+
+    def telescopes(self) -> bool:
+        """Whether every stage's inputs equal the previous stage's outputs."""
+        return _telescopes([self.stages[stage] for stage in STAGES])
+
+    def reduction(self) -> Dict[str, Optional[float]]:
+        """Table 3's "1/N" view: detected over survivors, per stage.
+
+        ``None`` for stages nothing survived.
+        """
+        detected = self.stages[STAGES[0]].outputs
+        return {
+            stage: detected / tally.outputs if tally.outputs else None
+            for stage, tally in self.stages.items()
+        }
+
+    def freeze(
+        self, monitor: str, now: float, wall_started: float, seconds: float
+    ) -> "RunTrace":
+        """This run's tally as an immutable :class:`RunTrace`."""
+        return RunTrace(
+            monitor=monitor,
+            now=now,
+            wall_started=wall_started,
+            seconds=seconds,
+            spans=tuple(self.stages[stage].freeze(stage) for stage in STAGES),
+        )
+
+    def to_dict(self) -> dict:
+        """JSON shape: ``/status`` rows, also the checkpoint format."""
+        reduction = self.reduction()
+        rows = []
+        for stage in STAGES:
+            tally = self.stages[stage]
+            rows.append(
+                {
+                    "stage": stage,
+                    "inputs": tally.inputs,
+                    "outputs": tally.outputs,
+                    "dropped": tally.inputs - tally.outputs,
+                    "drops": dict(tally.drops),
+                    "seconds": tally.seconds,
+                    "reduction": reduction[stage],
+                }
+            )
+        return {"runs": self.runs, "telescopes": self.telescopes(), "stages": rows}
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "FunnelCounters":
+        """Inverse of :meth:`to_dict` (checkpoint restore)."""
+        funnel = cls(runs=payload["runs"])
+        for row in payload["stages"]:
+            funnel.stages[row["stage"]] = StageTally(
+                inputs=row["inputs"],
+                outputs=row["outputs"],
+                seconds=row["seconds"],
+                drops=dict(row["drops"]),
+            )
+        return funnel
 
 
 class TraceStore:
@@ -267,7 +383,7 @@ class TraceStore:
 
     def __setstate__(self, state: dict) -> None:
         self.capacity = state["capacity"]
-        self._recorded = state.get("_recorded", 0)
+        self._recorded = state["_recorded"]
         self._runs = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
 
@@ -347,87 +463,6 @@ class EventLog:
 
     def __setstate__(self, state: dict) -> None:
         self.capacity = state["capacity"]
-        self._recorded = state.get("_recorded", 0)
+        self._recorded = state["_recorded"]
         self._events = deque(maxlen=self.capacity)
         self._lock = threading.Lock()
-
-
-class FunnelTrace:
-    """Live Table 3: stage attrition aggregated over retained run traces.
-
-    Where :class:`~repro.core.pipeline.FunnelCounters` keeps cumulative
-    survivor counts since the service started, a ``FunnelTrace`` is the
-    *windowed* view over whatever the ring buffer still holds — inputs,
-    outputs, drop reasons, and time per stage — which is what an on-call
-    engineer actually triages ("what is the funnel doing right now?").
-    """
-
-    def __init__(self, runs: Sequence[RunTrace]) -> None:
-        self.runs = list(runs)
-        self.totals: Dict[str, StageTally] = {s: StageTally() for s in STAGES}
-        for run in self.runs:
-            for span in run.spans:
-                tally = self.totals.setdefault(span.stage, StageTally())
-                tally.inputs += span.inputs
-                tally.outputs += span.outputs
-                tally.seconds += span.seconds
-                for reason, count in span.drops.items():
-                    tally.drops[reason] = tally.drops.get(reason, 0) + count
-
-    @classmethod
-    def from_store(cls, store: TraceStore) -> "FunnelTrace":
-        return cls(store.runs())
-
-    def telescopes(self) -> bool:
-        """Whether aggregate stage inputs chain onto the previous outputs."""
-        ordered = [self.totals[s] for s in STAGES]
-        return all(
-            later.inputs == earlier.outputs
-            for earlier, later in zip(ordered, ordered[1:])
-        )
-
-    def rows(self) -> List[dict]:
-        """Per-stage aggregate rows in funnel order (JSON-friendly)."""
-        detected = self.totals[STAGES[0]].outputs
-        rows = []
-        for stage in STAGES:
-            tally = self.totals[stage]
-            alive = tally.outputs
-            rows.append(
-                {
-                    "stage": stage,
-                    "inputs": tally.inputs,
-                    "outputs": alive,
-                    "dropped": tally.inputs - alive,
-                    "drops": dict(tally.drops),
-                    "seconds": tally.seconds,
-                    "reduction": (detected / alive) if alive else None,
-                }
-            )
-        return rows
-
-    def to_dict(self) -> dict:
-        return {
-            "runs": len(self.runs),
-            "telescopes": self.telescopes(),
-            "stages": self.rows(),
-        }
-
-    def render(self) -> str:
-        """Human-readable stage-attrition table (Table 3, live)."""
-        lines = [
-            f"FunnelTrace over {len(self.runs)} run(s)",
-            f"{'stage':<16} {'in':>7} {'out':>7} {'dropped':>8} "
-            f"{'1/N':>8} {'seconds':>9}  top drop reason",
-        ]
-        detected = self.totals[STAGES[0]].outputs
-        for stage in STAGES:
-            tally = self.totals[stage]
-            alive = tally.outputs
-            ratio = f"1/{detected / alive:.0f}" if alive and detected else "--"
-            top = max(tally.drops.items(), key=lambda kv: kv[1])[0] if tally.drops else ""
-            lines.append(
-                f"{stage:<16} {tally.inputs:>7} {alive:>7} "
-                f"{tally.inputs - alive:>8} {ratio:>8} {tally.seconds:>9.4f}  {top}"
-            )
-        return "\n".join(lines)

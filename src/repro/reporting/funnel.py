@@ -2,15 +2,15 @@
 
 Table 3 reports, per workload, the number of change points detected and
 the "1/N" reduction ratio remaining after each technique runs in
-sequence.  These helpers render :class:`~repro.core.pipeline.FunnelCounters`
+sequence.  These helpers render :class:`~repro.obs.spans.FunnelCounters`
 the same way.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Tuple
 
-from repro.core.pipeline import STAGES, FunnelCounters
+from repro.obs.spans import STAGES, FunnelCounters
 
 __all__ = ["funnel_rows", "format_funnel_table"]
 
@@ -29,16 +29,17 @@ _ROW_LABELS = {
 
 def funnel_rows(funnel: FunnelCounters) -> List[Tuple[str, str]]:
     """Table 3 rows: (label, value) with "1/N" ratios after the first row."""
-    detected = funnel.counts["change_points"]
+    counts = funnel.counts
+    reduction = funnel.reduction()
+    detected = counts["change_points"]
     rows: List[Tuple[str, str]] = [(_ROW_LABELS["change_points"], f"{detected}")]
     for stage in STAGES[1:]:
-        alive = funnel.counts[stage]
         if detected == 0:
             value = "--"
-        elif alive == 0:
+        elif reduction[stage] is None:
             value = "1/inf (0 remaining)"
         else:
-            value = f"1/{detected / alive:.0f} ({alive} remaining)"
+            value = f"1/{reduction[stage]:.0f} ({counts[stage]} remaining)"
         rows.append((_ROW_LABELS[stage], value))
     return rows
 

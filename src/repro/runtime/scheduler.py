@@ -3,17 +3,16 @@
 Owns many monitors — each a (name, detection config, series filter)
 triple with its own persistent :class:`~repro.core.detector.FBDetect`
 state — and advances simulated time, running every monitor whose re-run
-interval has elapsed.  Scans within one tick execute in parallel worker
-threads, mirroring the paper's serverless deployment that scans
-different time series in parallel.
+interval has elapsed.  Scans run one after another in the calling
+thread; the streaming service gets its parallelism from shards
+(worker processes), where the GIL does not serialize the scans.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import DetectionConfig
@@ -24,7 +23,7 @@ from repro.fleet.changes import ChangeLog
 from repro.obs.logging import correlation_id, get_logger, log_context
 from repro.profiling.stacktrace import StackTrace
 from repro.reporting.report import build_report
-from repro.runtime.sinks import IncidentSink
+from repro.runtime.sinks import IncidentSink, deliver_to_sinks
 from repro.tsdb.database import TimeSeriesDatabase
 
 __all__ = ["MonitorRegistration", "ScanOutcome", "DetectionScheduler"]
@@ -66,7 +65,6 @@ class DetectionScheduler:
     Args:
         database: The TSDB all monitors scan.
         sinks: Incident sinks notified for every reported regression.
-        max_workers: Parallel scan threads.
         retention: Seconds of history to keep; older points are dropped
             as time advances (0 disables retention).
         keep_outcomes: Whether to accumulate every :class:`ScanOutcome`
@@ -80,8 +78,7 @@ class DetectionScheduler:
     Concurrency: :meth:`advance_to` is safe to call from multiple
     threads — the scheduling loop runs under a lock, so each due scan
     executes exactly once and monitor state is never advanced twice for
-    the same due time.  Scans within one batch still run in parallel
-    worker threads.
+    the same due time.
 
     Example::
 
@@ -95,18 +92,14 @@ class DetectionScheduler:
         self,
         database: TimeSeriesDatabase,
         sinks: Sequence[IncidentSink] = (),
-        max_workers: int = 4,
         retention: float = 0.0,
         keep_outcomes: bool = True,
         metrics: Optional[object] = None,
     ) -> None:
-        if max_workers <= 0:
-            raise ValueError("max_workers must be positive")
         if retention < 0:
             raise ValueError("retention must be >= 0")
         self.database = database
         self.sinks = list(sinks)
-        self.max_workers = max_workers
         self.retention = retention
         self.keep_outcomes = keep_outcomes
         self.metrics = metrics
@@ -226,11 +219,12 @@ class DetectionScheduler:
     def advance_to(self, target: float) -> List[ScanOutcome]:
         """Advance simulated time to ``target``, running due scans.
 
-        Scans due at the same instant run in parallel; a monitor's next
-        run is scheduled one re-run interval after the current one.
+        Scans due at the same instant run in registration order; a
+        monitor's next run is scheduled one re-run interval after the
+        current one.
 
         Returns:
-            Outcomes of every scan executed, in completion order.
+            Outcomes of every scan executed, in execution order.
 
         Raises:
             ValueError: When moving backwards in time.
@@ -264,8 +258,7 @@ class DetectionScheduler:
         self, monitors: Sequence[MonitorRegistration], now: float
     ) -> List[ScanOutcome]:
         outcomes: List[ScanOutcome] = []
-
-        def scan(monitor: MonitorRegistration) -> Optional[ScanOutcome]:
+        for monitor in monitors:
             started = time.perf_counter()
             try:
                 result = monitor.detector.run(self.database, now)
@@ -282,72 +275,53 @@ class DetectionScheduler:
                     now=now,
                     error=str(error),
                 )
-                return None
+                continue
             if self.metrics is not None:
                 self.metrics.observe(
                     "scheduler.scan_seconds", time.perf_counter() - started
                 )
                 self.metrics.inc("scheduler.scans")
                 self.metrics.inc("scheduler.regressions_reported", len(result.reported))
-            return ScanOutcome(monitor=monitor.name, now=now, result=result)
-
-        if len(monitors) == 1 or self.max_workers == 1:
-            # The overwhelmingly common shape — one monitor due per tick
-            # on a shard — must not pay thread-pool setup/teardown per
-            # advance.  Order matches pool.map (submission order), so
-            # outcomes are identical either way.
-            for monitor in monitors:
-                outcome = scan(monitor)
-                if outcome is not None:
-                    outcomes.append(outcome)
-        else:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                for outcome in pool.map(scan, monitors):
-                    if outcome is not None:
-                        outcomes.append(outcome)
+            outcomes.append(ScanOutcome(monitor=monitor.name, now=now, result=result))
 
         if self.keep_outcomes:
             with self._lock:
                 self.outcomes.extend(outcomes)
-        for outcome in outcomes:
-            for regression in outcome.result.reported:
-                report = build_report(regression)
-                # The alert id is deterministic in (series, change time),
-                # so logs from serial, parallel, and restarted runs of
-                # the same incident all join on one key.
-                alert = correlation_id(
-                    regression.context.metric_id,
-                    regression.change_time,
-                    prefix="alert",
-                )
-                with log_context(
-                    series=regression.context.metric_id, alert=alert
-                ):
-                    for sink in self.sinks:
-                        # One raising sink must not abort delivery to
-                        # the rest (or the advance that produced the
-                        # report) — same isolation contract as the
-                        # streaming service's _deliver_to_sinks.
-                        try:
-                            sink.deliver(report)
-                        except Exception as error:
-                            if self.metrics is not None:
-                                self.metrics.inc("scheduler.sink_errors")
-                            _log.exception(
-                                "sink delivery failed",
-                                sink=type(sink).__name__,
-                                monitor=outcome.monitor,
-                                error=str(error),
-                            )
-                    if self.sinks:
-                        _log.info(
-                            "incident delivered",
-                            monitor=outcome.monitor,
-                            detected_at=outcome.now,
-                            sinks=len(self.sinks),
-                            magnitude=regression.magnitude,
-                        )
+        if self.sinks:
+            # Without sinks (every shard scheduler inside the streaming
+            # service) reports are the caller's to build and deliver.
+            for outcome in outcomes:
+                self._deliver(outcome)
         return outcomes
+
+    def _deliver(self, outcome: ScanOutcome) -> None:
+        """Build and deliver one report per regression ``outcome`` reported."""
+        for regression in outcome.result.reported:
+            # The alert id is deterministic in (series, change time), so
+            # logs from serial, parallel, and restarted runs of the same
+            # incident all join on one key.
+            alert = correlation_id(
+                regression.context.metric_id,
+                regression.change_time,
+                prefix="alert",
+            )
+            with log_context(
+                series=regression.context.metric_id,
+                alert=alert,
+                monitor=outcome.monitor,
+            ):
+                deliver_to_sinks(
+                    self.sinks,
+                    build_report(regression),
+                    self.metrics,
+                    errors="scheduler.sink_errors",
+                )
+                _log.info(
+                    "incident delivered",
+                    detected_at=outcome.now,
+                    sinks=len(self.sinks),
+                    magnitude=regression.magnitude,
+                )
 
     # ------------------------------------------------------------------
     # Checkpointing

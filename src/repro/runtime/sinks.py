@@ -5,12 +5,12 @@ every regression the scheduler's monitors report — the integration point
 for ticket filing, paging, or test collection.
 
 Delivery contract: a sink's :meth:`~IncidentSink.deliver` may raise (a
-full disk, a dead endpoint); the *caller* is responsible for isolating
-that failure so one broken sink never blocks the others or the scan
-loop that produced the report.  The streaming service wraps every sink
-call and counts failures under ``service.sinks.errors`` — see
-:meth:`repro.service.service.StreamingDetectionService`.  Sinks that
-hold resources (file handles, delivery threads) release them in
+full disk, a dead endpoint); :func:`deliver_to_sinks` isolates that
+failure so one broken sink never blocks the others or the scan loop
+that produced the report.  Both the scheduler and the streaming service
+deliver through it, counting failures under their own metric names
+(``scheduler.sink_errors``, ``service.sinks.errors``).  Sinks that hold
+resources (file handles, delivery threads) release them in
 :meth:`~IncidentSink.close`, which the service calls on shutdown.
 
 For a network sink with buffered, retried delivery see
@@ -23,11 +23,20 @@ import abc
 import json
 import logging
 import threading
-from typing import IO, List, Optional, Union
+from typing import IO, List, Optional, Sequence, Union
 
+from repro.obs.logging import get_logger
 from repro.reporting.report import IncidentReport, format_report
 
-__all__ = ["IncidentSink", "CollectingSink", "LoggingSink", "JsonLinesSink"]
+__all__ = [
+    "IncidentSink",
+    "CollectingSink",
+    "LoggingSink",
+    "JsonLinesSink",
+    "deliver_to_sinks",
+]
+
+_log = get_logger("repro.runtime.sinks")
 
 
 class IncidentSink(abc.ABC):
@@ -39,6 +48,41 @@ class IncidentSink(abc.ABC):
 
     def close(self) -> None:
         """Release held resources (handles, threads).  Default: no-op."""
+
+
+def deliver_to_sinks(
+    sinks: Sequence[IncidentSink],
+    report: IncidentReport,
+    metrics: Optional[object],
+    errors: str,
+    delivered: Optional[str] = None,
+    events: Optional[object] = None,
+) -> None:
+    """Deliver one report to every sink, isolating per-sink faults.
+
+    A raising sink (full disk, dead endpoint, bad plugin) must never
+    abort the loop: the remaining sinks still get this report, and the
+    caller's scan or advance carries on.  Each failed attempt is counted
+    under ``errors`` in ``metrics``, recorded as a ``sink_error`` event
+    on ``events`` (an :class:`~repro.obs.spans.EventLog`) and logged, so
+    a chronically broken sink is visible instead of silently eating
+    alerts.  Each success is counted under ``delivered`` when given.
+    """
+    for sink in sinks:
+        try:
+            sink.deliver(report)
+        except Exception as error:
+            if metrics is not None:
+                metrics.inc(errors)
+            fields = dict(
+                sink=type(sink).__name__, metric=report.metric_id, error=str(error)
+            )
+            if events is not None:
+                events.record("sink_error", **fields)
+            _log.exception("sink delivery failed", **fields)
+        else:
+            if metrics is not None and delivered is not None:
+                metrics.inc(delivered)
 
 
 class CollectingSink(IncidentSink):

@@ -42,7 +42,9 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["CheckpointError", "CheckpointManager", "CHECKPOINT_VERSION"]
 
-CHECKPOINT_VERSION = 1
+#: Version 2 stores the cumulative funnel's full per-stage tally under
+#: ``meta["funnel"]``; manifests of any other version are refused.
+CHECKPOINT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 
 _GEN_MANIFEST_RE = re.compile(r"^manifest\.g(\d+)\.json$")

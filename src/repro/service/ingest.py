@@ -430,10 +430,6 @@ class ShardIngestWorker:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Defaults first: blobs pickled by older builds predate these.
-        self.flush_failures = 0
-        self.fault_injector = None
-        self.admission = None
         self.__dict__.update(state)
         self._lock = threading.RLock()
         self._cond = threading.Condition(self._lock)

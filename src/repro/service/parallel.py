@@ -32,10 +32,13 @@ or a shard advance that blows its deadline no longer poisons the cached
 pool or fails the whole ``advance_to``.  The executor retries failed
 shards with exponential backoff on a freshly created pool, and — once
 retries are exhausted — advances the failed shard *in-process* from the
-same snapshot blob.  Because a shard advance is a pure function of
-``(blob, target)``, retried and fallback advances produce the same
-outcomes a healthy worker would, so the determinism contract survives
-every recovery path.  An optional
+same snapshot blob.  A crash breaks the whole pool, failing every shard
+in flight with it, so retries run one shard at a time: only the shard
+that crashes again is charged, and its neighbours are not pushed into
+the fallback by a crash that was not theirs.  Because a shard advance
+is a pure function of ``(blob, target)``, retried and fallback advances
+produce the same outcomes a healthy worker would, so the determinism
+contract survives every recovery path.  An optional
 :class:`~repro.faults.FaultInjector` hooks the submit path: the parent
 decides per-shard fault directives (crash / hang) that the worker
 executes, which is how the chaos suite drives these recovery paths
@@ -44,6 +47,7 @@ deterministically.
 
 from __future__ import annotations
 
+import multiprocessing.connection
 import os
 import pickle
 import time
@@ -131,7 +135,7 @@ def _advance_shard(
     worker.flush()
     outcomes = scheduler.advance_to(target)
     elapsed = time.perf_counter() - started
-    state["scans"] = state.get("scans", 0) + len(outcomes)
+    state["scans"] += len(outcomes)
     # Detach the worker-local registry and trace store before the result
     # pickles back: the parent owns the authoritative ones and merges the
     # snapshot / recorded runs explicitly.
@@ -146,6 +150,24 @@ def _advance_shard(
         elapsed=elapsed,
         traces=tracer.runs(),
     )
+
+
+def _pool_is_sound(pool: ProcessPoolExecutor) -> bool:
+    """False when ``pool`` is broken or one of its workers has died.
+
+    The pool's manager thread reads pending results and wake-ups before
+    it looks at worker sentinels, so a worker killed between rounds can
+    go unnoticed through a whole round.  Polling the sentinels before
+    submitting catches it without spending a retry.
+    """
+    if getattr(pool, "_broken", False):
+        return False
+    try:
+        processes = list((getattr(pool, "_processes", None) or {}).values())
+        sentinels = [process.sentinel for process in processes]
+    except ValueError:  # a worker process object was already closed
+        return False
+    return not (sentinels and multiprocessing.connection.wait(sentinels, timeout=0))
 
 
 class ParallelShardExecutor:
@@ -208,6 +230,13 @@ class ParallelShardExecutor:
         self._pool: Optional[ProcessPoolExecutor] = None
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
+        if self._pool is not None and not _pool_is_sound(self._pool):
+            # The dead worker may have died holding the call queue's read
+            # lock; a graceful shutdown would then wait forever on its
+            # siblings, so they are terminated first.
+            for process in list((self._pool._processes or {}).values()):
+                process.terminate()
+            self._recycle_pool()
         if self._pool is None:
             kwargs: Dict[str, Any] = {}
             if self._mp_context is not None:
@@ -264,7 +293,15 @@ class ParallelShardExecutor:
                 self._inc("advance.retries", len(remaining))
                 for shard_id in remaining:
                     retry_counts[shard_id] += 1
-            failed = self._attempt(remaining, target, results)
+                # One shard per round trip, so a crash fails only the
+                # shard that caused it.
+                failed = [
+                    failed_id
+                    for shard_id, blob in remaining.items()
+                    for failed_id in self._attempt({shard_id: blob}, target, results)
+                ]
+            else:
+                failed = self._attempt(remaining, target, results)
             remaining = {shard_id: blobs[shard_id] for shard_id in sorted(failed)}
         for shard_id, blob in remaining.items():
             # Retries exhausted: advance in the parent from the same

@@ -36,7 +36,6 @@ from dataclasses import dataclass, replace as dataclass_replace
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import DetectionConfig
-from repro.core.pipeline import FunnelCounters
 from repro.faults import FaultInjector
 from repro.faults.plan import FaultKind
 from repro.core.types import Regression
@@ -48,10 +47,10 @@ from repro.detectors import (
 )
 from repro.quality import AdmissionController, QualityConfig, QualityGate
 from repro.obs.logging import correlation_id, get_logger, log_context
-from repro.obs.spans import EventLog, FunnelTrace, TraceStore
+from repro.obs.spans import EventLog, FunnelCounters, TraceStore
 from repro.reporting.report import IncidentReport, build_report
 from repro.runtime.scheduler import DetectionScheduler, ScanOutcome
-from repro.runtime.sinks import IncidentSink
+from repro.runtime.sinks import IncidentSink, deliver_to_sinks
 from repro.service.checkpoint import CheckpointManager
 from repro.service.ingest import BackpressurePolicy, Sample, ShardIngestWorker
 from repro.service.metrics import MetricsRegistry
@@ -143,7 +142,6 @@ class _Shard:
         queue_capacity: int,
         backpressure: BackpressurePolicy,
         batch_size: int,
-        max_workers: int,
         retention: float,
         metrics: MetricsRegistry,
         fault_injector: Optional[FaultInjector] = None,
@@ -151,7 +149,7 @@ class _Shard:
     ) -> None:
         self.shard_id = shard_id
         self.database = TimeSeriesDatabase()
-        # Kept so a restore from a pre-quality checkpoint (whose worker
+        # Kept so a restore from a quality-off checkpoint (whose worker
         # blob has no admission controller) can be given a fresh one.
         self._quality_config = quality
         self.worker = ShardIngestWorker(
@@ -170,7 +168,6 @@ class _Shard:
         )
         self.scheduler = DetectionScheduler(
             self.database,
-            max_workers=max_workers,
             retention=retention,
             keep_outcomes=False,
             metrics=metrics,
@@ -217,14 +214,14 @@ class _Shard:
         self.database = state["database"]
         self.worker = state["worker"]
         self.scheduler = state["scheduler"]
-        self.scans = state.get("scans", 0)
+        self.scans = state["scans"]
         # Rewire process-local observability state (dropped on pickle).
         self.worker.metrics = metrics
         self.worker.fault_injector = fault_injector
         if self.worker.admission is not None:
             self.worker.admission.metrics = metrics
         elif self._quality_config is not None:
-            # Pre-quality checkpoint blob: admission starts fresh (there
+            # Quality-off checkpoint blob: admission starts fresh (there
             # is no quarantine history to carry).
             self.worker.admission = AdmissionController(
                 self._quality_config, shard_id=self.shard_id, metrics=metrics
@@ -272,7 +269,7 @@ class _Shard:
         self.scheduler = state["scheduler"]
         self.scheduler.wire_metrics(metrics)
         self.scheduler.wire_tracer(tracer)
-        self.scans = state.get("scans", self.scans)
+        self.scans = state["scans"]
         self.worker.complete_advance(
             state["worker"], self.database, self._advance_baseline
         )
@@ -294,7 +291,6 @@ class StreamingDetectionService:
         queue_capacity: Per-shard ingest queue bound.
         backpressure: Policy when a shard queue is full.
         batch_size: Samples per TSDB flush batch.
-        max_workers_per_shard: Parallel scan threads per shard.
         workers: Worker *processes* for shard advances.  With ``workers
             <= 1`` detection runs in-thread (the historical path); with
             more, :meth:`advance_to` pickles each shard out to a
@@ -351,7 +347,6 @@ class StreamingDetectionService:
         queue_capacity: int = 1024,
         backpressure: BackpressurePolicy = BackpressurePolicy.DROP_OLDEST,
         batch_size: int = 256,
-        max_workers_per_shard: int = 2,
         workers: int = 1,
         retention: float = 0.0,
         replicas: int = 64,
@@ -402,7 +397,6 @@ class StreamingDetectionService:
                 queue_capacity=queue_capacity,
                 backpressure=BackpressurePolicy(backpressure),
                 batch_size=batch_size,
-                max_workers=max_workers_per_shard,
                 retention=retention,
                 metrics=self.metrics,
                 fault_injector=fault_injector,
@@ -838,34 +832,18 @@ class StreamingDetectionService:
     def _deliver_to_sinks(self, report: IncidentReport) -> None:
         """Deliver one report to every sink, isolating per-sink faults.
 
-        A raising sink (full disk, dead endpoint, bad plugin) must never
-        abort the report loop mid-advance: the remaining sinks still get
-        this report, every later report in the scan still flows, and the
-        ledger/`service.reports.delivered` stay in sync with what was
-        actually admitted.  Failures are counted per delivery attempt
-        under ``service.sinks.errors`` and recorded on the event log, so
-        a chronically broken sink is visible on ``/metrics`` and
-        ``/faults`` instead of silently eating alerts.
+        A raising sink never aborts the report loop mid-advance, so the
+        ledger and ``service.reports.delivered`` stay in sync with what
+        was admitted; failures show on ``/metrics`` and ``/faults``.
         """
-        for sink in self.sinks:
-            try:
-                sink.deliver(report)
-            except Exception as error:
-                self.metrics.inc("service.sinks.errors")
-                self.events.record(
-                    "sink_error",
-                    sink=type(sink).__name__,
-                    metric=report.metric_id,
-                    error=str(error),
-                )
-                _log.exception(
-                    "sink delivery failed",
-                    sink=type(sink).__name__,
-                    metric=report.metric_id,
-                    error=str(error),
-                )
-            else:
-                self.metrics.inc("service.sinks.delivered")
+        deliver_to_sinks(
+            self.sinks,
+            report,
+            self.metrics,
+            errors="service.sinks.errors",
+            delivered="service.sinks.delivered",
+            events=self.events,
+        )
 
     def _ledger_admit(self, regression: Regression) -> bool:
         """Record-and-admit unless already reported within tolerance."""
@@ -1001,9 +979,9 @@ class StreamingDetectionService:
         """Text exposition of the self-metrics registry."""
         return self.metrics.render_text()
 
-    def funnel_trace(self) -> FunnelTrace:
-        """The live Table 3 view over the retained funnel run traces."""
-        return FunnelTrace.from_store(self.traces)
+    def funnel_trace(self) -> FunnelCounters:
+        """The live Table 3 view: the funnel over the retained run traces."""
+        return FunnelCounters.from_runs(self.traces.runs())
 
     def healthz(self) -> dict:
         """Liveness/readiness snapshot (the ``/healthz`` payload).
@@ -1066,18 +1044,13 @@ class StreamingDetectionService:
     def status_snapshot(self) -> dict:
         """Operator funnel snapshot (the ``/status`` payload).
 
-        ``funnel`` is the cumulative :class:`FunnelCounters` view (every
-        scan since the service — or its checkpoint lineage — started);
-        ``funnel_trace`` is the windowed live view over the trace ring
-        buffer, with per-stage drop reasons and timings.  All values are
-        JSON-serializable.
+        ``funnel`` holds the cumulative survivor counts (every scan since
+        the service — or its checkpoint lineage — started);
+        ``funnel_trace`` is the same :class:`FunnelCounters` over the
+        trace ring buffer only, with per-stage drop reasons and timings.
+        All values are JSON-serializable.
         """
         stats = self.stats()
-        detected = self.funnel.counts.get("change_points", 0)
-        reduction = {
-            stage: (detected / alive) if alive else None
-            for stage, alive in self.funnel.counts.items()
-        }
         return {
             "clock": self._clock,
             "n_shards": self.n_shards,
@@ -1093,8 +1066,8 @@ class StreamingDetectionService:
                 "dropped": stats.dropped,
                 "rejected": stats.rejected,
             },
-            "funnel": dict(self.funnel.counts),
-            "funnel_reduction": reduction,
+            "funnel": self.funnel.counts,
+            "funnel_reduction": self.funnel.reduction(),
             "funnel_trace": self.funnel_trace().to_dict(),
             "traces": {
                 "retained": len(self.traces),
@@ -1126,7 +1099,7 @@ class StreamingDetectionService:
             "reported": self._reported,
             "suppressed_realerts": self._suppressed_realerts,
             "reported_ledger": {k: list(v) for k, v in self._reported_ledger.items()},
-            "funnel": dict(self.funnel.counts),
+            "funnel": self.funnel.to_dict(),
             "monitors": list(self._monitor_specs),
             "metrics": self.metrics.snapshot(),
         }
@@ -1182,8 +1155,8 @@ class StreamingDetectionService:
         service = cls(
             n_shards=meta["n_shards"],
             sinks=sinks,
-            replicas=meta.get("replicas", 64),
-            realert_tolerance=meta.get("realert_tolerance", 3600.0),
+            replicas=meta["replicas"],
+            realert_tolerance=meta["realert_tolerance"],
             **service_kwargs,
         )
         for shard_key, state in shard_states.items():
@@ -1194,17 +1167,15 @@ class StreamingDetectionService:
                 tracer=service.traces,
                 fault_injector=service.fault_injector,
             )
-        service._clock = meta.get("clock", 0.0)
-        service._reported = meta.get("reported", 0)
-        service._suppressed_realerts = meta.get("suppressed_realerts", 0)
+        service._clock = meta["clock"]
+        service._reported = meta["reported"]
+        service._suppressed_realerts = meta["suppressed_realerts"]
         service._reported_ledger = {
-            k: list(v) for k, v in meta.get("reported_ledger", {}).items()
+            k: list(v) for k, v in meta["reported_ledger"].items()
         }
-        service.funnel = FunnelCounters()
-        for stage, count in (meta.get("funnel") or {}).items():
-            service.funnel.counts[stage] = count
-        service._monitor_specs = list(meta.get("monitors", []))
-        service.metrics.restore(meta.get("metrics", {}))
+        service.funnel = FunnelCounters.from_dict(meta["funnel"])
+        service._monitor_specs = list(meta["monitors"])
+        service.metrics.restore(meta["metrics"])
         service.metrics.set_gauge("service.shards", service.n_shards)
         service.metrics.inc("service.restores")
         load_info = manager.last_load() or {}

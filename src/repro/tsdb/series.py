@@ -54,11 +54,6 @@ class TimeSeries:
     def __post_init__(self) -> None:
         if self.duplicate_policy not in ("last_write_wins", "reject"):
             raise ValueError(f"unknown duplicate_policy {self.duplicate_policy!r}")
-        # Tolerate list/array-valued fields (old pickles, direct tests).
-        if not isinstance(self._timestamps, FloatColumn):
-            self._timestamps = FloatColumn(self._timestamps)
-        if not isinstance(self._values, FloatColumn):
-            self._values = FloatColumn(self._values)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimeSeries):
@@ -76,15 +71,6 @@ class TimeSeries:
 
     def __iter__(self) -> Iterator[Tuple[float, float]]:
         return iter(zip(self._timestamps.tolist(), self._values.tolist()))
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        # Checkpoints written by the list-backed storage carry plain
-        # lists in _timestamps/_values; normalize them into columns.
-        self.__dict__.update(state)
-        if not isinstance(self._timestamps, FloatColumn):
-            self._timestamps = FloatColumn(self._timestamps)
-        if not isinstance(self._values, FloatColumn):
-            self._values = FloatColumn(self._values)
 
     def append(self, timestamp: float, value: float) -> None:
         """Append a point; ``timestamp`` must be >= the last timestamp.

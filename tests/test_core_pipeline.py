@@ -5,9 +5,10 @@ import pytest
 
 from repro import FBDetect, TimeSeriesDatabase, table1_config
 from repro.config import DetectionConfig
-from repro.core.pipeline import STAGES, DetectionPipeline, FunnelCounters
+from repro.core.pipeline import DetectionPipeline
 from repro.core.types import FilterReason, RegressionKind
 from repro.fleet.changes import ChangeEffect, ChangeLog, CodeChange
+from repro.obs.spans import STAGES, FunnelCounters
 from repro.tsdb import WindowSpec
 
 from conftest import fill_series
@@ -38,22 +39,27 @@ class TestFunnelCounters:
 
     def test_unknown_stage_raises(self):
         with pytest.raises(KeyError):
-            FunnelCounters().survived("nope")
+            FunnelCounters().stages["nope"]
 
     def test_reduction_ratios(self):
         funnel = FunnelCounters()
-        funnel.survived("change_points", 100)
-        funnel.survived("went_away", 10)
-        ratios = funnel.reduction_ratios()
+        funnel.stages["change_points"].bulk(100, 100, "unused", 0.0)
+        funnel.stages["went_away"].bulk(100, 10, "went_away", 0.0)
+        ratios = funnel.reduction()
         assert ratios["went_away"] == 10.0
-        assert ratios["seasonality"] == float("inf")
+        assert ratios["seasonality"] is None  # nothing survived
 
     def test_merge(self):
-        a, b = FunnelCounters(), FunnelCounters()
-        a.survived("change_points", 5)
-        b.survived("change_points", 7)
+        a, b = FunnelCounters(runs=1), FunnelCounters(runs=1)
+        a.stages["change_points"].observe(True, seconds=0.5)
+        a.stages["change_points"].observe(False, "no_change_point")
+        b.stages["change_points"].bulk(9, 7, "no_change_point", 0.25)
         a.merge(b)
-        assert a.counts["change_points"] == 12
+        assert a.counts["change_points"] == 8
+        assert a.stages["change_points"].inputs == 11
+        assert a.stages["change_points"].drops == {"no_change_point": 3}
+        assert a.stages["change_points"].seconds == pytest.approx(0.75)
+        assert a.runs == 2
 
 
 class TestDetectionPipeline:

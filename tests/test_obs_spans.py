@@ -1,4 +1,4 @@
-"""Tests for repro.obs.spans (funnel spans, trace store, live funnel)."""
+"""Tests for repro.obs.spans (funnel tally, spans, trace store)."""
 
 import pickle
 
@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
-from repro.core.pipeline import DetectionPipeline, STAGES as PIPELINE_STAGES
+from repro.core.pipeline import DetectionPipeline
 from repro.obs.spans import (
     STAGES,
-    FunnelTrace,
+    FunnelCounters,
     RunTrace,
     Span,
     StageTally,
@@ -20,8 +20,7 @@ from repro.service import Sample, StreamingDetectionService
 from repro.tsdb import TimeSeriesDatabase, WindowSpec
 
 
-def test_pipeline_reexports_canonical_stages():
-    assert PIPELINE_STAGES is STAGES
+def test_canonical_stage_order():
     assert STAGES[0] == "change_points"
     assert STAGES[-1] == "pairwise_dedup"
 
@@ -117,6 +116,14 @@ class TestTraceStore:
             TraceStore(capacity=0)
 
 
+def _tally_counts(funnel):
+    """Every per-stage field but the (timing-dependent) seconds."""
+    return {
+        stage: (tally.inputs, tally.outputs, dict(tally.drops))
+        for stage, tally in funnel.stages.items()
+    }
+
+
 def _seeded_database(n_series=6, n_regressed=2, n=1_700, step=600.0, seed=0):
     rng = np.random.default_rng(seed)
     database = TimeSeriesDatabase()
@@ -176,6 +183,8 @@ class TestPipelineTracing:
         pipeline = DetectionPipeline(_config(), tracer=store)
         result = pipeline.run(database, end)
         run = store.runs()[0]
+        # The recorded run is the result's funnel, frozen.
+        assert FunnelCounters.from_runs([run]) == result.funnel
         for stage in STAGES:
             assert run.span(stage).outputs == result.funnel.counts[stage], stage
 
@@ -194,6 +203,11 @@ class TestPipelineTracing:
         result = pipeline.run(database, end)
         assert pipeline.tracer is None
         assert result.reported
+        # The tally is filled with or without a tracer.
+        traced = DetectionPipeline(_config(), tracer=TraceStore())
+        assert _tally_counts(traced.run(database, end).funnel) == _tally_counts(
+            result.funnel
+        )
 
     def test_long_term_path_breaks_telescoping_honestly(self):
         database, end = _seeded_database()
@@ -206,34 +220,38 @@ class TestPipelineTracing:
         assert run.span("threshold").inputs >= run.span("seasonality").outputs
 
 
-class TestFunnelTrace:
-    def test_aggregates_and_renders(self):
+class TestFunnelCounters:
+    def test_aggregates_runs(self):
         database, end = _seeded_database()
         store = TraceStore()
         pipeline = DetectionPipeline(_config(), tracer=store)
-        pipeline.run(database, end)
-        pipeline.run(database, end + 600.0)
-        trace = FunnelTrace.from_store(store)
-        assert len(trace.runs) == 2
+        first = pipeline.run(database, end)
+        second = pipeline.run(database, end + 600.0)
+        funnel = FunnelCounters.from_runs(store.runs())
+        assert funnel.runs == 2
         per_run = [run.span("change_points").inputs for run in store.runs()]
-        assert trace.totals["change_points"].inputs == sum(per_run)
-        rows = trace.rows()
+        assert funnel.stages["change_points"].inputs == sum(per_run)
+        # Totalling frozen runs and merging the live tallies agree.
+        merged = FunnelCounters()
+        merged.merge(first.funnel)
+        merged.merge(second.funnel)
+        assert _tally_counts(merged) == _tally_counts(funnel)
+        assert merged.runs == funnel.runs
+        rows = funnel.to_dict()["stages"]
         assert [row["stage"] for row in rows] == list(STAGES)
-        detected = trace.totals["change_points"].outputs
+        detected = funnel.stages["change_points"].outputs
         for row in rows:
             if row["outputs"]:
                 assert row["reduction"] == pytest.approx(
                     detected / row["outputs"]
                 )
-        rendered = trace.render()
-        assert "change_points" in rendered
-        assert "FunnelTrace over 2 run(s)" in rendered
 
     def test_to_dict_is_json_shaped(self):
-        trace = FunnelTrace([])
-        payload = trace.to_dict()
+        funnel = FunnelCounters.from_runs([])
+        payload = funnel.to_dict()
         assert payload["runs"] == 0
         assert len(payload["stages"]) == len(STAGES)
+        assert FunnelCounters.from_dict(payload) == funnel
 
 
 def _streamed_service(workers, n_shards=2, seed=3):
@@ -286,14 +304,14 @@ class TestServiceTracing:
         try:
             assert len(parallel.traces) == parallel.stats().scans
             assert len(parallel.traces) == len(serial.traces)
-            # The merged funnel totals are identical to the serial path.
-            serial_totals = FunnelTrace.from_store(serial.traces).to_dict()
-            parallel_totals = FunnelTrace.from_store(parallel.traces).to_dict()
-            for s_row, p_row in zip(
-                serial_totals["stages"], parallel_totals["stages"]
-            ):
-                assert s_row["inputs"] == p_row["inputs"], s_row["stage"]
-                assert s_row["outputs"] == p_row["outputs"], s_row["stage"]
+            # The merged funnel totals are identical to the serial path:
+            # inputs, outputs and drop reasons of every stage, both for
+            # the windowed trace view and the cumulative funnel.
+            assert _tally_counts(parallel.funnel_trace()) == _tally_counts(
+                serial.funnel_trace()
+            )
+            assert _tally_counts(parallel.funnel) == _tally_counts(serial.funnel)
+            assert parallel.funnel.runs == serial.funnel.runs
         finally:
             serial.close()
             parallel.close()
@@ -302,8 +320,9 @@ class TestServiceTracing:
         service, end = _streamed_service(workers=1)
         service.advance_to(end)
         trace = service.funnel_trace()
+        assert _tally_counts(trace) == _tally_counts(service.funnel)
         for stage in STAGES:
-            assert trace.totals[stage].outputs == service.funnel.counts[stage]
+            assert trace.stages[stage].outputs == service.funnel.counts[stage]
         service.close()
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import FunnelCounters
+from repro.obs.spans import STAGES, FunnelCounters
 from repro.core.types import (
     DetectionVerdict,
     FilterReason,
@@ -81,14 +81,10 @@ class TestFormatReport:
 class TestFunnelFormatting:
     def _funnel(self):
         funnel = FunnelCounters()
-        funnel.survived("change_points", 1000)
-        funnel.survived("went_away", 10)
-        funnel.survived("seasonality", 8)
-        funnel.survived("threshold", 6)
-        funnel.survived("same_regression", 5)
-        funnel.survived("som_dedup", 3)
-        funnel.survived("cost_shift", 2)
-        funnel.survived("pairwise_dedup", 1)
+        alive = 5000
+        for stage, survivors in zip(STAGES, (1000, 10, 8, 6, 5, 3, 2, 1)):
+            funnel.stages[stage].bulk(alive, survivors, "dropped", 0.0)
+            alive = survivors
         return funnel
 
     def test_funnel_rows_ratios(self):
@@ -99,7 +95,7 @@ class TestFunnelFormatting:
 
     def test_zero_survivors(self):
         funnel = FunnelCounters()
-        funnel.survived("change_points", 10)
+        funnel.stages["change_points"].bulk(10, 10, "dropped", 0.0)
         rows = dict(funnel_rows(funnel))
         assert "inf" in rows["After went-away detection"]
 

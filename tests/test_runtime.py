@@ -81,7 +81,7 @@ class TestDetectionScheduler:
         values = rng.normal(0.002, 0.00002, 1100)
         fill_series(db, "b.sub.gcpu", values, tags={"service": "b", "metric": "gcpu"})
         sink = CollectingSink()
-        scheduler = DetectionScheduler(db, sinks=[sink], max_workers=2)
+        scheduler = DetectionScheduler(db, sinks=[sink])
         scheduler.register("mon-a", small_config(), series_filter={"service": "a"},
                            first_run=54_000.0)
         scheduler.register("mon-b", small_config(), series_filter={"service": "b"},
@@ -105,8 +105,6 @@ class TestDetectionScheduler:
         assert series.start >= 24_000.0
 
     def test_invalid_params_raise(self):
-        with pytest.raises(ValueError):
-            DetectionScheduler(TimeSeriesDatabase(), max_workers=0)
         with pytest.raises(ValueError):
             DetectionScheduler(TimeSeriesDatabase(), retention=-1.0)
 

@@ -88,6 +88,21 @@ class TestCheckpointManager:
         with pytest.raises(CheckpointError, match="version"):
             manager.load()
 
+    def test_version_1_manifest_refused(self, tmp_path):
+        service = StreamingDetectionService(n_shards=1)
+        service.checkpoint(str(tmp_path))
+        service.close()
+        # A version-1 manifest (written before the cumulative funnel
+        # carried its full per-stage tally) is refused, not adapted.
+        for name in ("manifest.json", "manifest.g1.json"):
+            path = tmp_path / name
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            assert manifest["version"] == 2
+            manifest["version"] = 1
+            path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(CheckpointError, match="version 1"):
+            StreamingDetectionService.restore(str(tmp_path))
+
     def test_corrupt_manifest_raises(self, tmp_path):
         manager = CheckpointManager(str(tmp_path))
         manager.save({}, {})
@@ -333,6 +348,13 @@ class TestKillRestoreEquivalence:
         assert restored.monitors() == ["gcpu"]
         assert restored._reported_ledger == service._reported_ledger
         assert restored.funnel.counts == service.funnel.counts
+        # Every field of the cumulative funnel survives, not only the
+        # survivor counts: inputs, drop reasons, seconds and run count.
+        assert restored.funnel == service.funnel
+        assert restored.funnel.runs == service.stats().scans
+        assert restored.status_snapshot()["funnel_reduction"] == (
+            service.status_snapshot()["funnel_reduction"]
+        )
         total_series = sum(
             len(restored.shard_database(shard_id)) for shard_id in range(2)
         )

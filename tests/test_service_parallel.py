@@ -9,6 +9,7 @@ cache dropped at the trust boundary.
 """
 
 import json
+import multiprocessing.connection
 import os
 import signal
 import threading
@@ -321,8 +322,14 @@ class TestAdvanceFailureRecovery:
             producer.start()
         try:
             for round_index in range(4):
-                victim_pid = next(iter(service._executor._pool._processes))
+                victim_pid, victim = next(
+                    iter(service._executor._pool._processes.items())
+                )
                 os.kill(victim_pid, signal.SIGKILL)
+                # SIGKILL lands asynchronously; advancing before the victim
+                # has exited lets a round finish on the surviving workers,
+                # and the next round would pick the same, by then reaped, pid.
+                assert multiprocessing.connection.wait([victim.sentinel], timeout=10.0)
                 # The advance runs against a pool with a freshly killed
                 # worker; recovery must be invisible to the caller.
                 service.advance_to((round_index + 2) * 10_000.0)

@@ -116,6 +116,24 @@ class TestServiceSinkIsolation:
         assert counters["service.sinks.errors"] == 1
         service.close()
 
+    def test_each_delivered_report_is_built_once(self, monkeypatch):
+        """Shard schedulers hold no sinks, so only the service builds
+        reports: one build_report call per delivered incident."""
+        import repro.runtime.scheduler as scheduler_module
+        import repro.service.service as service_module
+
+        calls = []
+
+        def counting_build_report(regression, *args, **kwargs):
+            calls.append(regression.context.metric_id)
+            return build_report(regression, *args, **kwargs)
+
+        monkeypatch.setattr(service_module, "build_report", counting_build_report)
+        monkeypatch.setattr(scheduler_module, "build_report", counting_build_report)
+        keys, _ = run_service([CollectingSink()])
+        assert keys  # the planted regression is caught
+        assert calls == [metric for metric, _ in keys]
+
     def test_close_isolates_sink_failures(self):
         bad = RaisingSink(fail_close=True)
         good = RaisingSink(fail_close=False)
