@@ -9,9 +9,13 @@ first-class: a seedable :class:`FaultPlan` describes *which* faults fire
 corruption, flush-thread death, clock skew), and a :class:`FaultInjector`
 is threaded through the service's hook points
 (:class:`~repro.service.parallel.ParallelShardExecutor`,
-:class:`~repro.service.ingest.ShardIngestWorker`,
 :class:`~repro.service.checkpoint.CheckpointManager`, the background
 flushers, and the service's wall clock) to execute it.
+
+These are the places a fault cannot be applied from outside the
+service.  Data damage — NaN bursts, gaps, delivery reordering, counter
+rollover — can: :mod:`repro.fleet.dirty` damages the stream before it
+is ingested, so the ingest path carries no fault hook at all.
 
 Determinism is the design constraint: every injection decision is drawn
 from a per-(spec) seeded RNG stream, so the same plan against the same

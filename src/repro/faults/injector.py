@@ -7,6 +7,12 @@ directives the parent hands them (``("crash", 0.0)``/``("hang", s)``
 tuples piped through :func:`repro.service.parallel._advance_shard`).
 That keeps a chaos run deterministic regardless of process scheduling.
 
+The injector is wired only where a fault cannot be applied from
+outside the service: the executor's worker processes, the background
+flusher threads, the checkpoint writer, and the wall clock.  Damage to
+the *data* — NaN bursts, gaps, reordering, counter rollover — needs no
+hook: :mod:`repro.fleet.dirty` applies it to the stream before ingest.
+
 Decision model, per site invocation:
 
 1. every spec whose site and shard filter match sees its private
@@ -37,7 +43,7 @@ _log = get_logger("repro.faults")
 
 
 class InjectedFault(RuntimeError):
-    """Raised at raising-kind hook points (flush errors, flusher death).
+    """Raised at the ``flusher`` hook point (a flusher iteration dies).
 
     Catching code treats it like any other runtime failure — the class
     exists so tests and logs can tell injected chaos from real bugs.
@@ -76,6 +82,11 @@ class _SpecState:
 class FaultInjector:
     """Executes a fault plan at the service's hook points.
 
+    The hook points are the executor's worker processes
+    (:meth:`worker_directive`), the background flushers
+    (:meth:`maybe_raise`), the checkpoint writer
+    (:meth:`corrupt_payload`) and the wall clock (:meth:`clock_skew`).
+
     Args:
         plan: The schedule to execute.
         metrics: Optional registry-like object (``inc(name, n)``) for
@@ -102,12 +113,6 @@ class FaultInjector:
             _SpecState(spec, plan.seed, index)
             for index, spec in enumerate(plan.specs)
         ]
-        # Cached so the per-sample ingest path pays one attribute read,
-        # not a spec scan, when the plan has no data faults (the common
-        # case, and all pre-existing plans).
-        self.has_data_faults = any(
-            spec.site.startswith("data.") for spec in plan.specs
-        )
 
     def wire(self, metrics: Optional[object] = None, events: Optional[object] = None) -> None:
         """Attach the service's metrics registry and event log."""
@@ -133,7 +138,7 @@ class FaultInjector:
         return ("hang", spec.hang_seconds)
 
     def maybe_raise(self, site: str, shard: Optional[int] = None) -> None:
-        """Sites ``ingest.flush`` / ``flusher``: raise if a spec fires.
+        """Site ``flusher``: raise if a spec fires.
 
         Raises:
             InjectedFault: When a matching spec fires.
@@ -159,35 +164,6 @@ class FaultInjector:
         if mutated:
             mutated[len(mutated) // 2] ^= 0xFF
         return bytes(mutated)
-
-    def data_directive(self, shard: Optional[int] = None) -> Optional[FaultKind]:
-        """Sites ``data.corrupt`` / ``data.reorder`` / ``data.gap``.
-
-        One ingested sample is one invocation of the whole data plane:
-        each data-fault spec sees it (counters advance together) and the
-        first firing spec wins — at most one data fault per sample,
-        mirroring :meth:`_fire` across the three sites.
-
-        Returns:
-            The winning :class:`FaultKind` (``DATA_CORRUPT`` /
-            ``DATA_REORDER`` / ``DATA_GAP``) or ``None``.
-        """
-        with self._lock:
-            winner = None
-            for state in self._states:
-                if not state.spec.site.startswith("data."):
-                    continue
-                if state.spec.shard is not None and shard is not None:
-                    if state.spec.shard != shard:
-                        continue
-                if winner is None and state.consider():
-                    winner = state.spec
-                # Later matching specs do not see this sample once a
-                # winner fired: one sample, at most one data fault.
-        if winner is not None:
-            self._record(winner, winner.site, shard)
-            return winner.kind
-        return None
 
     def clock_skew(self) -> float:
         """Site ``clock``: the current wall-clock offset in seconds.

@@ -29,8 +29,6 @@ class FaultKind(str, enum.Enum):
     WORKER_CRASH = "worker_crash"
     #: The worker process sleeps past the per-shard advance deadline.
     ADVANCE_HANG = "advance_hang"
-    #: One TSDB batch write raises mid-flush.
-    FLUSH_ERROR = "flush_error"
     #: A background flusher iteration dies.
     FLUSHER_DEATH = "flusher_death"
     #: A checkpoint shard blob is written with a flipped byte (the
@@ -44,15 +42,6 @@ class FaultKind(str, enum.Enum):
     #: The service's wall clock steps by ``skew_seconds`` (an NTP step);
     #: monotonic readings are unaffected, which is the point under test.
     CLOCK_SKEW = "clock_skew"
-    #: One ingested sample's value is replaced with NaN before it
-    #: reaches admission (a collector emitting garbage).
-    DATA_CORRUPT = "data_corrupt"
-    #: One ingested sample is delivered late, after the next sample of
-    #: its series (a clock-skewed host shipping an out-of-order batch).
-    DATA_REORDER = "data_reorder"
-    #: One ingested sample is silently dropped before admission (a host
-    #: restart losing samples).
-    DATA_GAP = "data_gap"
 
 
 #: Hook-point site for each fault kind.  Sites are the vocabulary the
@@ -62,15 +51,11 @@ class FaultKind(str, enum.Enum):
 SITES: Dict[FaultKind, str] = {
     FaultKind.WORKER_CRASH: "worker.advance",
     FaultKind.ADVANCE_HANG: "worker.advance",
-    FaultKind.FLUSH_ERROR: "ingest.flush",
     FaultKind.FLUSHER_DEATH: "flusher",
     FaultKind.CHECKPOINT_CORRUPT: "checkpoint.blob",
     FaultKind.CHECKPOINT_TRUNCATE: "checkpoint.blob",
     FaultKind.MANIFEST_CORRUPT: "checkpoint.manifest",
     FaultKind.CLOCK_SKEW: "clock",
-    FaultKind.DATA_CORRUPT: "data.corrupt",
-    FaultKind.DATA_REORDER: "data.reorder",
-    FaultKind.DATA_GAP: "data.gap",
 }
 
 
@@ -190,23 +175,13 @@ class FaultPlan:
         return cls.from_dict(payload)
 
     @classmethod
-    def chaos(
-        cls,
-        seed: int,
-        n_shards: int = 4,
-        include_clock_skew: bool = True,
-        include_data_faults: bool = False,
-    ) -> "FaultPlan":
+    def chaos(cls, seed: int, n_shards: int = 4) -> "FaultPlan":
         """A randomized-but-reproducible chaos schedule for drills.
 
         The same seed always yields the same plan, so a CI seed matrix
         reruns the exact drill that failed.  Every generated spec has a
         finite budget — chaos plans must *exhaust*, or the run could
         never converge back to the fault-free outcome.
-
-        Data faults (``include_data_faults``) are drawn *after* every
-        process-plane spec, so enabling them never changes the plan an
-        existing seed produces for the process plane.
         """
         rng = random.Random(f"repro.faults.chaos:{seed}")
         specs: List[FaultSpec] = [
@@ -241,39 +216,12 @@ class FaultPlan:
                     after=rng.randint(0, 20),
                 )
             )
-        if include_clock_skew and rng.random() < 0.7:
+        if rng.random() < 0.7:
             specs.append(
                 FaultSpec(
                     FaultKind.CLOCK_SKEW,
                     skew_seconds=rng.choice([-1.0, 1.0]) * rng.uniform(100.0, 7200.0),
                     after=rng.randint(0, 3),
-                )
-            )
-        if include_data_faults:
-            # Data faults fire per ingested *sample*, not per advance, so
-            # their budgets are an order larger than the process-plane
-            # specs' — still finite, so the drill exhausts.
-            specs.append(
-                FaultSpec(
-                    FaultKind.DATA_CORRUPT,
-                    times=rng.randint(3, 12),
-                    after=rng.randint(0, 50),
-                )
-            )
-            specs.append(
-                FaultSpec(
-                    FaultKind.DATA_REORDER,
-                    times=rng.randint(10, 40),
-                    after=rng.randint(0, 50),
-                    probability=round(rng.uniform(0.3, 0.9), 3),
-                )
-            )
-            specs.append(
-                FaultSpec(
-                    FaultKind.DATA_GAP,
-                    times=rng.randint(5, 25),
-                    after=rng.randint(0, 50),
-                    probability=round(rng.uniform(0.3, 0.9), 3),
                 )
             )
         return cls(seed=seed, specs=tuple(specs))

@@ -325,7 +325,57 @@ class FunnelCounters:
         return funnel
 
 
-class TraceStore:
+class _RingBuffer:
+    """Thread-safe bounded buffer keeping the newest ``capacity`` items.
+
+    The buffer is process-local: pickling keeps the capacity and the
+    all-time :attr:`recorded` count but drops the buffered items.
+    """
+
+    def __init__(self, capacity: int = 256) -> None:
+        if capacity <= 0:
+            raise ValueError("capacity must be positive")
+        self.capacity = capacity
+        self._recorded = 0
+        self._reset()
+
+    def _reset(self) -> None:
+        self._items: Deque = deque(maxlen=self.capacity)
+        self._lock = threading.Lock()
+
+    def _append(self, items: Iterable) -> None:
+        with self._lock:
+            for item in items:
+                self._items.append(item)
+                self._recorded += 1
+
+    def _snapshot(self) -> list:
+        with self._lock:
+            return list(self._items)
+
+    def clear(self) -> None:
+        with self._lock:
+            self._items.clear()
+
+    @property
+    def recorded(self) -> int:
+        """Total items ever recorded (including evicted ones)."""
+        return self._recorded
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._items)
+
+    def __getstate__(self) -> dict:
+        return {"capacity": self.capacity, "_recorded": self._recorded}
+
+    def __setstate__(self, state: dict) -> None:
+        self.capacity = state["capacity"]
+        self._recorded = state["_recorded"]
+        self._reset()
+
+
+class TraceStore(_RingBuffer):
     """Thread-safe ring buffer of the most recent :class:`RunTrace`\\ s.
 
     This is the object pipelines hold as their ``tracer``: each run
@@ -338,54 +388,17 @@ class TraceStore:
     restored service starts with an empty trace window.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._runs: Deque[RunTrace] = deque(maxlen=capacity)
-        self._recorded = 0
-        self._lock = threading.Lock()
-
     def record(self, run: RunTrace) -> None:
         """Append one run trace (evicting the oldest when full)."""
-        with self._lock:
-            self._runs.append(run)
-            self._recorded += 1
+        self._append((run,))
 
     def record_many(self, runs: Iterable[RunTrace]) -> None:
         """Append several run traces (the parallel-merge path)."""
-        with self._lock:
-            for run in runs:
-                self._runs.append(run)
-                self._recorded += 1
+        self._append(runs)
 
     def runs(self) -> List[RunTrace]:
         """A snapshot of the retained runs, oldest first."""
-        with self._lock:
-            return list(self._runs)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._runs.clear()
-
-    @property
-    def recorded(self) -> int:
-        """Total runs ever recorded (including evicted ones)."""
-        return self._recorded
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._runs)
-
-    def __getstate__(self) -> dict:
-        # Keep configuration, drop process-local state (lock + buffer).
-        return {"capacity": self.capacity, "_recorded": self._recorded}
-
-    def __setstate__(self, state: dict) -> None:
-        self.capacity = state["capacity"]
-        self._recorded = state["_recorded"]
-        self._runs = deque(maxlen=self.capacity)
-        self._lock = threading.Lock()
+        return self._snapshot()
 
 
 @dataclass(frozen=True)
@@ -407,7 +420,7 @@ class Event:
         return {"kind": self.kind, "wall": self.wall, **self.fields}
 
 
-class EventLog:
+class EventLog(_RingBuffer):
     """Thread-safe bounded ring buffer of :class:`Event`\\ s.
 
     The failure-path counterpart of :class:`TraceStore`: where run
@@ -419,50 +432,17 @@ class EventLog:
     the buffered events.
     """
 
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self._events: Deque[Event] = deque(maxlen=capacity)
-        self._recorded = 0
-        self._lock = threading.Lock()
-
     def record(self, kind: str, wall: Optional[float] = None, **fields: object) -> Event:
         """Append one event (evicting the oldest when full)."""
         event = Event(
             kind=kind, wall=wall if wall is not None else time.time(), fields=fields
         )
-        with self._lock:
-            self._events.append(event)
-            self._recorded += 1
+        self._append((event,))
         return event
 
     def events(self, kind: Optional[str] = None) -> List[Event]:
         """Retained events oldest-first, optionally filtered by kind."""
-        with self._lock:
-            retained = list(self._events)
+        retained = self._snapshot()
         if kind is None:
             return retained
         return [event for event in retained if event.kind == kind]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._events.clear()
-
-    @property
-    def recorded(self) -> int:
-        """Total events ever recorded (including evicted ones)."""
-        return self._recorded
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-    def __getstate__(self) -> dict:
-        return {"capacity": self.capacity, "_recorded": self._recorded}
-
-    def __setstate__(self, state: dict) -> None:
-        self.capacity = state["capacity"]
-        self._recorded = state["_recorded"]
-        self._events = deque(maxlen=self.capacity)
-        self._lock = threading.Lock()

@@ -19,9 +19,10 @@ Durability is layered:
 - every file is written atomically (temp file + ``os.replace``) with an
   ``fsync`` of the file *and* of the directory, so a crash or power
   loss cannot leave a half-written blob under a final name;
-- the generation's own manifest is written after all its blobs, and the
-  ``manifest.json`` pointer is written last of all, so a crash
-  mid-checkpoint leaves the previous generation fully loadable;
+- the generation's own manifest is written after all its blobs, so a
+  crash mid-checkpoint leaves the previous generation fully loadable
+  (the ``manifest.json`` pointer, written last, is for operators —
+  loads read only the per-generation manifests);
 - :meth:`CheckpointManager.load` verifies every checksum and, when the
   newest generation fails (corrupt blob, truncated file, damaged
   manifest), falls back to the next-newest intact generation instead of
@@ -96,8 +97,8 @@ class CheckpointManager:
         return os.path.join(self.directory, MANIFEST_NAME)
 
     def exists(self) -> bool:
-        """Whether a loadable manifest is present."""
-        return os.path.isfile(self.manifest_path) or bool(self._generations())
+        """Whether any checkpoint generation is on disk."""
+        return bool(self._generations())
 
     def last_load(self) -> Optional[Dict[str, object]]:
         """Info about the most recent :meth:`load` on this manager.
@@ -149,10 +150,9 @@ class CheckpointManager:
             if mutated is not None:
                 manifest_payload = mutated
         self._atomic_write(f"manifest.g{generation}.json", manifest_payload)
-        # The pointer is written last: until it lands, loaders see the
-        # previous generation.  It gets the same (possibly corrupted)
-        # bytes — load() falls back to per-generation manifests when the
-        # pointer is damaged.
+        # The pointer is an operator-facing copy of the newest manifest
+        # (same, possibly corrupted, bytes); load() reads only the
+        # per-generation manifests.
         self._atomic_write(MANIFEST_NAME, manifest_payload)
         self._prune(keep_from=generation)
         return self.manifest_path
@@ -174,20 +174,15 @@ class CheckpointManager:
                 is corrupt.
         """
         generations = self._generations()
-        candidates: List[Tuple[Optional[int], str]] = [
-            (gen, os.path.join(self.directory, f"manifest.g{gen}.json"))
-            for gen in reversed(generations)
-        ]
-        if not candidates:
-            # Pre-generational layout (or an empty directory): the
-            # pointer manifest is the only candidate.
-            candidates = [(None, self.manifest_path)]
+        if not generations:
+            raise CheckpointError(f"no checkpoint manifest in {self.directory}")
         skipped: List[str] = []
-        for generation, path in candidates:
+        for generation in reversed(generations):
+            path = os.path.join(self.directory, f"manifest.g{generation}.json")
             try:
                 meta, shards = self._load_manifest(path)
             except CheckpointError as error:
-                if len(candidates) == 1:
+                if len(generations) == 1:
                     raise
                 skipped.append(str(error))
                 continue
@@ -230,13 +225,10 @@ class CheckpointManager:
             shards[shard_id] = pickle.loads(blob)
         return manifest.get("meta", {}), shards
 
-    def _read_manifest(self, path: Optional[str] = None) -> dict:
-        path = path or self.manifest_path
+    def _read_manifest(self, path: str) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as source:
                 return json.load(source)
-        except FileNotFoundError as error:
-            raise CheckpointError(f"no checkpoint manifest at {path}") from error
         except (OSError, json.JSONDecodeError) as error:
             raise CheckpointError(f"unreadable manifest: {error}") from error
 
@@ -258,7 +250,7 @@ class CheckpointManager:
 
         A blob is an orphan when no retained *readable* manifest
         references it — which also sweeps blobs from a shard-count
-        shrink and files from the pre-generational layout.
+        shrink.
         """
         retained = [
             gen

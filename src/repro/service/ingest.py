@@ -82,9 +82,6 @@ class ShardIngestWorker:
         policy: Backpressure policy (see module docstring).
         batch_size: Samples per TSDB write batch.
         metrics: Optional shared metrics registry.
-        fault_injector: Optional :class:`~repro.faults.FaultInjector`
-            consulted at the ``ingest.flush`` site before each batch
-            write (chaos drills; ``None`` in production).
         admission: Optional
             :class:`~repro.quality.admission.AdmissionController` run on
             every offer (``None`` disables data-quality admission).
@@ -100,7 +97,6 @@ class ShardIngestWorker:
         policy: BackpressurePolicy = BackpressurePolicy.DROP_OLDEST,
         batch_size: int = 256,
         metrics: Optional[Any] = None,
-        fault_injector: Optional[Any] = None,
         admission: Optional[Any] = None,
     ) -> None:
         if capacity <= 0:
@@ -113,7 +109,6 @@ class ShardIngestWorker:
         self.policy = BackpressurePolicy(policy)
         self.batch_size = batch_size
         self.metrics = metrics
-        self.fault_injector = fault_injector
         self.admission = admission
         self._queue: Deque[Sample] = deque()
         self._lock = threading.RLock()
@@ -262,8 +257,6 @@ class ShardIngestWorker:
         ]
         started = time.perf_counter()
         try:
-            if self.fault_injector is not None:
-                self.fault_injector.maybe_raise("ingest.flush", self._shard_index())
             written = self.database.write_batch(
                 (s.name, s.timestamp, s.value, s.tags) for s in batch
             )
@@ -412,9 +405,6 @@ class ShardIngestWorker:
         if self.metrics is not None:
             self.metrics.inc(name)
 
-    def _shard_index(self) -> Optional[int]:
-        return self.shard_id if isinstance(self.shard_id, int) else None
-
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         state.pop("_lock", None)
@@ -422,11 +412,8 @@ class ShardIngestWorker:
         # The advancing flag describes the *live* object: the pickled
         # copy is exactly what the worker process must flush.
         state["_advancing"] = False
-        # The shared registry and injector are restored by the service,
-        # not the pickle (the injector holds a lock and must stay
-        # parent-only anyway — workers never decide faults).
+        # The shared registry is restored by the service, not the pickle.
         state["metrics"] = None
-        state["fault_injector"] = None
         return state
 
     def __setstate__(self, state: dict) -> None:

@@ -32,12 +32,11 @@ from __future__ import annotations
 import pickle
 import threading
 import time
-from dataclasses import dataclass, replace as dataclass_replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import DetectionConfig
 from repro.faults import FaultInjector
-from repro.faults.plan import FaultKind
 from repro.core.types import Regression
 from repro.detectors import (
     DetectorSpec,
@@ -144,7 +143,6 @@ class _Shard:
         batch_size: int,
         retention: float,
         metrics: MetricsRegistry,
-        fault_injector: Optional[FaultInjector] = None,
         quality: Optional[QualityConfig] = None,
     ) -> None:
         self.shard_id = shard_id
@@ -159,7 +157,6 @@ class _Shard:
             policy=backpressure,
             batch_size=batch_size,
             metrics=metrics,
-            fault_injector=fault_injector,
             admission=(
                 AdmissionController(quality, shard_id=shard_id, metrics=metrics)
                 if quality is not None
@@ -191,7 +188,6 @@ class _Shard:
         metrics: MetricsRegistry,
         drop_derived: bool = False,
         tracer: Optional[TraceStore] = None,
-        fault_injector: Optional[FaultInjector] = None,
     ) -> None:
         """Install (un)pickled shard state (checkpoint-restore path).
 
@@ -217,7 +213,6 @@ class _Shard:
         self.scans = state["scans"]
         # Rewire process-local observability state (dropped on pickle).
         self.worker.metrics = metrics
-        self.worker.fault_injector = fault_injector
         if self.worker.admission is not None:
             self.worker.admission.metrics = metrics
         elif self._quality_config is not None:
@@ -308,9 +303,11 @@ class StreamingDetectionService:
         trace_capacity: Ring-buffer size (pipeline runs) of the funnel
             trace store behind ``/status`` and :meth:`funnel_trace`.
         fault_injector: Optional :class:`~repro.faults.FaultInjector`
-            threaded through the parallel executor, ingest workers,
-            background flushers, checkpoint writer, and the service's
-            wall clock — ``None`` (production) makes every hook a no-op.
+            threaded through the parallel executor, background flushers,
+            checkpoint writer, and the service's wall clock — ``None``
+            (production) makes every hook a no-op.  Ingest carries no
+            hook: data damage is applied to the stream before it
+            arrives (see :mod:`repro.fleet.dirty`).
         advance_retries: Retries per failed shard advance before the
             in-process fallback (see
             :class:`~repro.service.parallel.ParallelShardExecutor`).
@@ -399,15 +396,10 @@ class StreamingDetectionService:
                 batch_size=batch_size,
                 retention=retention,
                 metrics=self.metrics,
-                fault_injector=fault_injector,
                 quality=quality,
             )
             for shard_id in range(n_shards)
         }
-        # Samples a data.reorder fault is holding back (delivered late,
-        # behind the next sample of their series).
-        self._data_held: Dict[str, Sample] = {}
-        self._data_lock = threading.Lock()
         self._clock = 0.0
         self._reported_ledger: Dict[str, List[float]] = {}
         self._suppressed_realerts = 0
@@ -637,57 +629,8 @@ class StreamingDetectionService:
         return self.ingest_sample(Sample(name, timestamp, value, tags or {}))
 
     def ingest_sample(self, sample: Sample) -> bool:
-        if self.fault_injector is not None and self.fault_injector.has_data_faults:
-            return self._ingest_with_data_faults(sample)
-        return self._offer_routed(sample)
-
-    def _offer_routed(self, sample: Sample) -> bool:
         shard_id = self.router.shard_for(self.routing_key(sample))
         return self._shards[shard_id].worker.offer(sample)
-
-    def _ingest_with_data_faults(self, sample: Sample) -> bool:
-        """Apply a pending data-fault directive to one ingested sample.
-
-        ``data.gap`` drops the sample before admission (a host restart
-        losing it); ``data.corrupt`` replaces its value with NaN (a
-        collector emitting garbage); ``data.reorder`` holds it back
-        until the *next* sample of its series arrives, so it is
-        delivered late and out of order (a clock-skewed host shipping a
-        delayed batch).  All three exercise the admission layer exactly
-        the way production dirt would.
-        """
-        directive = self.fault_injector.data_directive()
-        if directive is FaultKind.DATA_GAP:
-            return False
-        if directive is FaultKind.DATA_CORRUPT:
-            sample = dataclass_replace(sample, value=float("nan"))
-        with self._data_lock:
-            if directive is FaultKind.DATA_REORDER:
-                held = self._data_held.pop(sample.name, None)
-                self._data_held[sample.name] = sample
-            else:
-                held = self._data_held.pop(sample.name, None)
-        if directive is FaultKind.DATA_REORDER:
-            # A previously held sample (if any) is displaced and
-            # delivered now — already out of order behind this one's
-            # predecessors.
-            if held is not None:
-                self._offer_routed(held)
-            return True
-        accepted = self._offer_routed(sample)
-        if held is not None:
-            self._offer_routed(held)  # the late, out-of-order arrival
-        return accepted
-
-    def _release_data_held(self) -> None:
-        """Deliver every reorder-held sample (advance/flush boundary)."""
-        if self.fault_injector is None or not self.fault_injector.has_data_faults:
-            return
-        with self._data_lock:
-            held = list(self._data_held.values())
-            self._data_held.clear()
-        for sample in held:
-            self._offer_routed(sample)
 
     def ingest_many(self, samples: Sequence[Sample]) -> int:
         """Offer each sample; returns how many were accepted."""
@@ -695,7 +638,6 @@ class StreamingDetectionService:
 
     def flush(self) -> int:
         """Drain every shard queue into its TSDB; returns samples written."""
-        self._release_data_held()
         return sum(shard.worker.flush() for shard in self._shards.values())
 
     # ------------------------------------------------------------------
@@ -719,7 +661,6 @@ class StreamingDetectionService:
             The incident reports delivered to sinks by this call.
         """
         delivered: List[IncidentReport] = []
-        self._release_data_held()
         with self.metrics.timer("service.advance_seconds"):
             if self._executor is not None and self.n_shards > 1:
                 self._advance_parallel(target, delivered)
@@ -746,18 +687,20 @@ class StreamingDetectionService:
         into the soon-to-be-stale databases are held off; offers keep
         accumulating in the live queues) and leaves it in the merge
         loop, where the live worker adopts the advanced database and
-        flush-counter deltas under its own lock.  If the pool fails, the
-        snapshots' queued samples are restored and flushing resumes —
-        the nothing-is-lost contract holds on both paths.
+        flush-counter deltas under its own lock.  If a snapshot or the
+        pool fails, every shard that began is rolled back — its queued
+        samples restored and flushing resumed — so the nothing-is-lost
+        contract holds on every path.
         """
-        blobs = {
-            shard_id: shard.begin_advance()
-            for shard_id, shard in self._shards.items()
-        }
+        began: List[_Shard] = []
+        blobs: Dict[int, bytes] = {}
         try:
+            for shard_id, shard in self._shards.items():
+                began.append(shard)
+                blobs[shard_id] = shard.begin_advance()
             results = self._executor.map_shards(blobs, target)  # sorted by id
         except BaseException:
-            for shard in self._shards.values():
+            for shard in began:
                 shard.abort_advance()
             raise
         self.metrics.inc("service.parallel_advances")
@@ -1165,7 +1108,6 @@ class StreamingDetectionService:
                 service.metrics,
                 drop_derived=True,
                 tracer=service.traces,
-                fault_injector=service.fault_injector,
             )
         service._clock = meta["clock"]
         service._reported = meta["reported"]

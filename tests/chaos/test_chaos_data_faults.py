@@ -1,21 +1,28 @@
-"""Chaos drill for the data plane: ``data.corrupt`` / ``data.reorder`` /
-``data.gap`` fault sites versus a clean run.
+"""Chaos drill for the data plane: a stream damaged by
+:func:`repro.fleet.dirty.dirty_stream` versus the clean stream.
 
-Data faults differ from process faults: they genuinely remove points
-(gaps) or replace them with garbage (corruption), so the dirty run
-cannot be byte-identical to the clean one.  The contract is instead:
+Data damage needs no hook inside the service — it happens to the
+stream before ingest, exactly where a real collector damages it.  Each
+ingest round's clean chunk is damaged on its own (NaN bursts, gaps on
+quiet series, block-local delivery reordering), so no sample leaves its
+round's tick range and every advance sees the same time span as the
+clean run.
+
+Gaps genuinely remove points and NaN bursts add garbage ones, so the
+dirty run cannot be byte-identical to the clean one.  The contract is
+instead:
 
 - zero false alerts and zero missed regressions — the *set* of alerted
   metrics matches the clean run exactly;
-- every damaged sample is accounted for — quarantined (corruption),
-  absent (gaps), or re-sequenced (reordering), never silently wrong in
-  a shard TSDB;
+- every damaged sample is accounted for, counted from the streams
+  themselves — NaNs quarantined, gaps absent, late deliveries
+  re-sequenced, never silently wrong in a shard TSDB;
 - quarantine state and admission counters survive the SIGKILL pattern
   (checkpoint -> abandon the process -> restore), under parallel
   (``workers=4``) shard advances.
 
-``REPRO_CHAOS_SEED`` overrides the fault-plan seed, mirroring the
-process-fault drill next door.
+``REPRO_CHAOS_SEED`` (with the round index) seeds the damage, mirroring
+the process-fault drill next door.
 """
 
 import math
@@ -25,7 +32,7 @@ import numpy as np
 import pytest
 
 from repro.config import DetectionConfig
-from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
+from repro.fleet.dirty import DirtyDataSpec, dirty_stream
 from repro.runtime import CollectingSink
 from repro.service import BackpressurePolicy, Sample, StreamingDetectionService
 from repro.tsdb import WindowSpec
@@ -39,12 +46,15 @@ N_SHARDS = 4
 ADVANCE_EVERY = 200  # ticks per ingest/advance round
 CHECKPOINT_ROUND = 2  # round after which the kill-pattern checkpoint lands
 
-# Budgets for the one data-fault seed: finite, so the run provably
-# absorbs *all* of the damage (``injector.exhausted()``), and small
-# enough that gaps stay far below the gap-gate's coverage floor.
-CORRUPT_BUDGET = 15
-GAP_BUDGET = 60
-REORDER_BUDGET = 400
+# NaN bursts hit the regressing series too (admission must strip them
+# without blunting the alert); gaps only hit quiet series, where the
+# coverage gate, not repair, is the defence.
+NAN_SERIES = (SERIES[0], SERIES[REGRESS_INDEX], SERIES[5])
+QUIET_SERIES = tuple(
+    name for index, name in enumerate(SERIES) if index != REGRESS_INDEX
+)
+GAP_FRACTION = 0.01
+REORDER_BLOCK = 4 * len(SERIES)  # up to four ticks shuffled together
 
 
 def _seed():
@@ -61,7 +71,8 @@ def small_config():
     )
 
 
-def make_stream(seed=7):
+def make_rounds(seed=7):
+    """The clean stream, split into per-round chunks of whole ticks."""
     rng = np.random.default_rng(seed)
     table = {}
     for index, name in enumerate(SERIES):
@@ -77,27 +88,38 @@ def make_stream(seed=7):
             for tick in range(N_TICKS)
         )
     samples.sort(key=lambda s: s.timestamp)
-    return samples
+    chunk = ADVANCE_EVERY * len(SERIES)
+    return [samples[begin: begin + chunk]
+            for begin in range(0, len(samples), chunk)]
 
 
-def data_plan(seed):
-    """One data-fault chaos schedule.
-
-    The small budgets go first: :meth:`FaultInjector.data_directive` is
-    winner-takes-all per sample, so the large reorder budget must not
-    shadow the corrupt/gap draws.
-    """
-    return FaultPlan(seed=seed, specs=(
-        FaultSpec(FaultKind.DATA_CORRUPT, times=CORRUPT_BUDGET,
-                  after=40, probability=0.5),
-        FaultSpec(FaultKind.DATA_GAP, times=GAP_BUDGET,
-                  after=90, probability=0.4),
-        FaultSpec(FaultKind.DATA_REORDER, times=REORDER_BUDGET,
-                  after=20, probability=0.5),
+def damage(chunk, round_index):
+    """One round's collection damage, seeded by the chaos seed and round."""
+    return dirty_stream(chunk, DirtyDataSpec(
+        seed=_seed() * 1_000 + round_index,
+        reorder_block=REORDER_BLOCK,
+        nan_series=NAN_SERIES,
+        gap_series=QUIET_SERIES,
+        gap_fraction=GAP_FRACTION,
     ))
 
 
-def make_service(sink, injector=None):
+def late_deliveries(samples):
+    """Finite samples arriving behind their series' newest timestamp —
+    the ones admission must hold and re-sequence."""
+    newest = {}
+    late = 0
+    for sample in samples:
+        if math.isnan(sample.value):
+            continue
+        if sample.timestamp < newest.get(sample.name, -math.inf):
+            late += 1
+        else:
+            newest[sample.name] = sample.timestamp
+    return late
+
+
+def make_service(sink):
     service = StreamingDetectionService(
         n_shards=N_SHARDS,
         workers=4,
@@ -105,7 +127,6 @@ def make_service(sink, injector=None):
         queue_capacity=2**14,
         backpressure=BackpressurePolicy.BLOCK,
         batch_size=128,
-        fault_injector=injector,
     )
     service.register_monitor(
         "gcpu", small_config(), series_filter={"metric": "gcpu"}
@@ -113,8 +134,8 @@ def make_service(sink, injector=None):
     return service
 
 
-def drive(service, samples, ckpt_dir):
-    """Ingest/advance in fixed rounds with one mid-stream checkpoint.
+def drive(service, rounds, ckpt_dir):
+    """Ingest/advance round by round with one mid-stream checkpoint.
 
     Returns the quality snapshot captured at the checkpoint instant —
     the ground truth the SIGKILL-restore test compares against.  No
@@ -122,12 +143,9 @@ def drive(service, samples, ckpt_dir):
     mutates admission state between the checkpoint and the snapshot.
     """
     at_checkpoint = None
-    chunk = ADVANCE_EVERY * len(SERIES)
-    rounds = [samples[begin: begin + chunk]
-              for begin in range(0, len(samples), chunk)]
     for index, batch in enumerate(rounds):
         service.ingest_many(batch)
-        service.advance_to(batch[-1].timestamp + INTERVAL)
+        service.advance_to(max(s.timestamp for s in batch) + INTERVAL)
         if index == CHECKPOINT_ROUND:
             service.checkpoint(ckpt_dir)
             at_checkpoint = service.quality_snapshot()
@@ -149,7 +167,7 @@ def clean_alerts(tmp_path_factory):
     sink = CollectingSink()
     service = make_service(sink)
     try:
-        drive(service, make_stream(),
+        drive(service, make_rounds(),
               str(tmp_path_factory.mktemp("clean") / "ckpt"))
     finally:
         service.close()
@@ -160,20 +178,35 @@ def clean_alerts(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def dirty_run(tmp_path_factory):
-    """One drill through the data-fault schedule, shared by the tests."""
-    samples = make_stream()
-    injector = FaultInjector(data_plan(_seed()))
+    """One drill through the damaged stream, shared by the tests."""
+    clean = make_rounds()
+    rounds = [damage(chunk, index) for index, chunk in enumerate(clean)]
+    damage_by_round = []
+    for chunk, dirty in zip(clean, rounds):
+        nans = sum(1 for s in dirty if math.isnan(s.value))
+        damage_by_round.append({
+            "nan": nans,
+            "gap": len(chunk) - (len(dirty) - nans),
+            "late": late_deliveries(dirty),
+        })
     sink = CollectingSink()
-    service = make_service(sink, injector=injector)
+    service = make_service(sink)
     ckpt_dir = str(tmp_path_factory.mktemp("data-faults") / "ckpt")
     try:
-        at_checkpoint = drive(service, samples, ckpt_dir)
+        at_checkpoint = drive(service, rounds, ckpt_dir)
         return {
-            "n_samples": len(samples),
+            "n_samples": sum(len(chunk) for chunk in clean),
+            "damage_by_round": damage_by_round,
+            "damage": {
+                kind: sum(entry[kind] for entry in damage_by_round)
+                for kind in ("nan", "gap", "late")
+            },
+            "late_overall": late_deliveries(
+                [s for dirty in rounds for s in dirty]
+            ),
             "alerted": {report.metric_id for report in sink.reports},
-            "counts": injector.counts(),
-            "exhausted": injector.exhausted(),
             "quality": service.quality_snapshot(),
+            "pending": sum(shard.pending for shard in service.stats().shards),
             "at_checkpoint": at_checkpoint,
             "ckpt_dir": ckpt_dir,
             "total_points": total_tsdb_points(service),
@@ -184,11 +217,15 @@ def dirty_run(tmp_path_factory):
 
 class TestDataFaultDrill:
     def test_schedule_fired_and_exhausted(self, dirty_run):
-        counts = dirty_run["counts"]
-        assert dirty_run["exhausted"]
-        assert counts["data_corrupt"] == CORRUPT_BUDGET
-        assert counts["data_gap"] == GAP_BUDGET
-        assert counts["data_reorder"] == REORDER_BUDGET
+        # Every round carried every kind of damage ...
+        for entry in dirty_run["damage_by_round"]:
+            assert entry["nan"] > 0 and entry["gap"] > 0 and entry["late"] > 0
+        # ... and each round's damage stayed inside its own tick range,
+        # so the round-by-round late count is the whole stream's.
+        assert dirty_run["late_overall"] == dirty_run["damage"]["late"]
+        # After the final flush nothing is held back or queued.
+        assert dirty_run["quality"]["counters"]["buffered"] == 0
+        assert dirty_run["pending"] == 0
 
     def test_zero_false_alerts_vs_clean(self, dirty_run, clean_alerts):
         # Set equality, both directions: no alert the clean run did not
@@ -197,18 +234,18 @@ class TestDataFaultDrill:
         assert dirty_run["alerted"] == clean_alerts
 
     def test_every_damaged_sample_is_accounted_for(self, dirty_run):
-        counts = dirty_run["counts"]
-        quality = dirty_run["quality"]
-        # Corrupted samples were quarantined, not written.
-        assert quality["counters"]["quarantined"] == counts["data_corrupt"]
-        assert quality["quarantined_points"] == counts["data_corrupt"]
-        # Reordered deliveries were re-sequenced through the buffer.
-        assert quality["counters"]["reordered"] > 0
-        assert quality["counters"]["duplicates"] == 0
-        # TSDB conservation: every sample landed exactly once, minus the
-        # gap-dropped and the quarantined.
-        expected = (dirty_run["n_samples"]
-                    - counts["data_gap"] - counts["data_corrupt"])
+        damage = dirty_run["damage"]
+        counters = dirty_run["quality"]["counters"]
+        # NaN points were quarantined, not written.
+        assert counters["quarantined"] == damage["nan"]
+        assert dirty_run["quality"]["quarantined_points"] == damage["nan"]
+        # Late deliveries were re-sequenced through the reorder buffer.
+        assert counters["reordered"] == damage["late"]
+        assert counters["duplicates"] == 0
+        # TSDB conservation: every delivered finite sample landed
+        # exactly once; only the gaps are missing.
+        expected = dirty_run["n_samples"] - damage["gap"]
+        assert counters["admitted"] == expected
         assert dirty_run["total_points"] == expected
 
 

@@ -1,6 +1,7 @@
 """Tests for repro.cli."""
 
 import csv
+import json
 
 import numpy as np
 import pytest
@@ -179,3 +180,19 @@ class TestServeDemoCommand:
         )
         assert code == 2
         assert "--workers" in capsys.readouterr().err
+
+    def test_fault_plan_with_unknown_kind_exits_2(self, tmp_path, capsys):
+        # Data damage is not a fault kind: it comes from --dirty-data.
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({"seed": 1, "specs": [{"kind": "data_gap"}]}),
+                        encoding="utf-8")
+        code = main(
+            [
+                "serve-demo",
+                "--preset", "invoicer_short",
+                "--ticks", "10",
+                "--fault-plan", str(plan),
+            ]
+        )
+        assert code == 2
+        assert "unknown or missing fault kind" in capsys.readouterr().err

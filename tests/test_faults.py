@@ -25,7 +25,6 @@ class TestFaultSpec:
     def test_site_follows_kind(self):
         assert FaultSpec(FaultKind.WORKER_CRASH).site == "worker.advance"
         assert FaultSpec(FaultKind.ADVANCE_HANG).site == "worker.advance"
-        assert FaultSpec(FaultKind.FLUSH_ERROR).site == "ingest.flush"
         assert FaultSpec(FaultKind.FLUSHER_DEATH).site == "flusher"
         assert FaultSpec(FaultKind.CHECKPOINT_CORRUPT).site == "checkpoint.blob"
         assert FaultSpec(FaultKind.CLOCK_SKEW).site == "clock"
@@ -51,8 +50,13 @@ class TestFaultSpec:
         assert FaultSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_rejects_unknown_kind_and_keys(self):
-        with pytest.raises(ValueError, match="kind"):
-            FaultSpec.from_dict({"kind": "meteor_strike"})
+        # Flush errors and data damage are not fault kinds (a failing
+        # ``write_batch`` and repro.fleet.dirty cover them): plans naming
+        # them fail loudly instead of silently injecting nothing.
+        for kind in ("meteor_strike", "flush_error", "data_gap",
+                     "data_corrupt", "data_reorder"):
+            with pytest.raises(ValueError, match="kind"):
+                FaultSpec.from_dict({"kind": kind})
         with pytest.raises(ValueError, match="unknown fault spec keys"):
             FaultSpec.from_dict({"kind": "worker_crash", "blast_radius": 3})
 
@@ -94,34 +98,34 @@ class TestFaultPlan:
 class TestInjectorDecisions:
     def test_after_and_times_gating(self):
         plan = FaultPlan(specs=(
-            FaultSpec(FaultKind.FLUSH_ERROR, times=1, after=2),
+            FaultSpec(FaultKind.FLUSHER_DEATH, times=1, after=2),
         ))
         injector = FaultInjector(plan)
-        injector.maybe_raise("ingest.flush")  # invocation 1: gated by after
-        injector.maybe_raise("ingest.flush")  # invocation 2: gated by after
-        with pytest.raises(InjectedFault, match="flush_error"):
-            injector.maybe_raise("ingest.flush")  # invocation 3: fires
-        injector.maybe_raise("ingest.flush")  # budget spent: clean again
-        assert injector.counts() == {"flush_error": 1}
+        injector.maybe_raise("flusher")  # invocation 1: gated by after
+        injector.maybe_raise("flusher")  # invocation 2: gated by after
+        with pytest.raises(InjectedFault, match="flusher_death"):
+            injector.maybe_raise("flusher")  # invocation 3: fires
+        injector.maybe_raise("flusher")  # budget spent: clean again
+        assert injector.counts() == {"flusher_death": 1}
         assert injector.exhausted()
 
     def test_shard_filter(self):
-        plan = FaultPlan(specs=(FaultSpec(FaultKind.FLUSH_ERROR, shard=1),))
+        plan = FaultPlan(specs=(FaultSpec(FaultKind.FLUSHER_DEATH, shard=1),))
         injector = FaultInjector(plan)
-        injector.maybe_raise("ingest.flush", shard=0)  # no match
+        injector.maybe_raise("flusher", shard=0)  # no match
         with pytest.raises(InjectedFault):
-            injector.maybe_raise("ingest.flush", shard=1)
+            injector.maybe_raise("flusher", shard=1)
 
     def test_probability_stream_is_deterministic(self):
         plan = FaultPlan(seed=3, specs=(
-            FaultSpec(FaultKind.FLUSH_ERROR, times=None, probability=0.5),
+            FaultSpec(FaultKind.FLUSHER_DEATH, times=None, probability=0.5),
         ))
 
         def decisions(injector):
             fired = []
             for _ in range(64):
                 try:
-                    injector.maybe_raise("ingest.flush")
+                    injector.maybe_raise("flusher")
                     fired.append(False)
                 except InjectedFault:
                     fired.append(True)
@@ -134,17 +138,17 @@ class TestInjectorDecisions:
 
     def test_one_invocation_at_most_one_fault(self):
         plan = FaultPlan(specs=(
-            FaultSpec(FaultKind.FLUSH_ERROR, times=1),
-            FaultSpec(FaultKind.FLUSH_ERROR, times=1),
+            FaultSpec(FaultKind.FLUSHER_DEATH, times=1),
+            FaultSpec(FaultKind.FLUSHER_DEATH, times=1),
         ))
         injector = FaultInjector(plan)
         with pytest.raises(InjectedFault):
-            injector.maybe_raise("ingest.flush")
+            injector.maybe_raise("flusher")
         # The second spec did not see the first invocation; it fires on
         # its own invocation instead of stacking on the first.
         with pytest.raises(InjectedFault):
-            injector.maybe_raise("ingest.flush")
-        injector.maybe_raise("ingest.flush")  # both budgets spent
+            injector.maybe_raise("flusher")
+        injector.maybe_raise("flusher")  # both budgets spent
 
     def test_worker_directives(self):
         plan = FaultPlan(specs=(
@@ -184,17 +188,17 @@ class TestInjectorDecisions:
     def test_metrics_and_events_record_every_firing(self):
         registry = MetricsRegistry()
         events = EventLog()
-        plan = FaultPlan(specs=(FaultSpec(FaultKind.FLUSH_ERROR, times=2),))
+        plan = FaultPlan(specs=(FaultSpec(FaultKind.FLUSHER_DEATH, times=2),))
         injector = FaultInjector(plan, metrics=registry, events=events)
         for _ in range(2):
             with pytest.raises(InjectedFault):
-                injector.maybe_raise("ingest.flush", shard=1)
+                injector.maybe_raise("flusher", shard=1)
         counters = registry.snapshot()["counters"]
         assert counters["faults.injected"] == 2.0
-        assert counters["faults.injected.flush_error"] == 2.0
+        assert counters["faults.injected.flusher_death"] == 2.0
         recorded = events.events(kind="fault_injected")
         assert len(recorded) == 2
-        assert recorded[0].fields["site"] == "ingest.flush"
+        assert recorded[0].fields["site"] == "flusher"
         assert recorded[0].fields["shard"] == 1
 
     def test_snapshot_shape(self):

@@ -236,32 +236,11 @@ class TestAdvanceProtocol:
 class TestFlushFailureSafety:
     """A failed batch write must not lose the popped samples."""
 
-    def test_failed_flush_requeues_batch_in_order(self):
-        from repro.faults import FaultInjector, FaultKind, FaultPlan, FaultSpec
-        from repro.faults.injector import InjectedFault
-
+    def test_database_error_requeues_batch(self):
         registry = MetricsRegistry()
         db, worker = make_worker(
             BackpressurePolicy.BLOCK, capacity=16, batch_size=4, metrics=registry
         )
-        worker.fault_injector = FaultInjector(
-            FaultPlan(specs=(FaultSpec(FaultKind.FLUSH_ERROR, times=1),))
-        )
-        worker.offer_many(samples(6))
-        with pytest.raises(InjectedFault):
-            worker.flush()
-        # Nothing written, nothing lost, order preserved.
-        assert worker.pending == 6
-        assert worker.flushed == 0
-        assert worker.flush_failures == 1
-        assert registry.snapshot()["counters"]["ingest.flush_failures"] == 1.0
-        # The retry writes the same samples in the same order.
-        assert worker.flush() == 6
-        series = db.get("s.gcpu")
-        assert [value for _, value in series] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
-
-    def test_database_error_requeues_batch(self):
-        db, worker = make_worker(BackpressurePolicy.DROP_OLDEST, capacity=16)
 
         class Boom(RuntimeError):
             pass
@@ -271,18 +250,17 @@ class TestFlushFailureSafety:
         def failing(rows):
             raise Boom("disk on fire")
 
-        worker.offer_many(samples(3))
+        worker.offer_many(samples(6))
         worker.database.write_batch = failing
         with pytest.raises(Boom):
             worker.flush()
-        assert worker.pending == 3
+        # Nothing written, nothing lost, order preserved.
+        assert worker.pending == 6
+        assert worker.flushed == 0
+        assert worker.flush_failures == 1
+        assert registry.snapshot()["counters"]["ingest.flush_failures"] == 1.0
+        # The retry writes the same samples in the same order.
         worker.database.write_batch = original
-        assert worker.flush() == 3
-
-    def test_injector_is_dropped_on_pickle(self):
-        from repro.faults import FaultInjector, FaultPlan
-
-        db, worker = make_worker(BackpressurePolicy.BLOCK)
-        worker.fault_injector = FaultInjector(FaultPlan())
-        clone = pickle.loads(pickle.dumps(worker))
-        assert clone.fault_injector is None
+        assert worker.flush() == 6
+        series = db.get("s.gcpu")
+        assert [value for _, value in series] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]

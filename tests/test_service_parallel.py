@@ -481,6 +481,36 @@ class TestAdvanceFailureRecovery:
         assert "degraded" in transitions and "recovered" in transitions
         service.close()
 
+    def test_unpicklable_shard_rolls_back_every_begun_shard(self):
+        """A shard that fails to snapshot must not strand the shards
+        snapshotted before it: every begun shard leaves advancing mode
+        with its queued samples back, and the next flush writes them."""
+        service = StreamingDetectionService(n_shards=2, workers=2)
+        try:
+            batch = [
+                Sample(f"svc.sub{i % 6}.gcpu", i * INTERVAL, 1.0, {"metric": "gcpu"})
+                for i in range(30)
+            ]
+            assert service.ingest_many(batch) == 30
+            assert all(
+                shard.worker.pending > 0 for shard in service._shards.values()
+            )
+            service._shards[1].scheduler.unpicklable = threading.Lock()
+            with pytest.raises(TypeError):
+                service.advance_to(30 * INTERVAL)
+            del service._shards[1].scheduler.unpicklable
+            assert not any(
+                shard.worker._advancing for shard in service._shards.values()
+            )
+            assert service.flush() == 30
+            assert sum(
+                len(series)
+                for shard_id in (0, 1)
+                for series in service.shard_database(shard_id)
+            ) == 30
+        finally:
+            service.close()
+
     def test_deterministic_error_still_propagates(self):
         """A genuine bug (not a crash) must fail the advance, loudly."""
         executor = ParallelShardExecutor(workers=2, retries=1, backoff=0.01)
